@@ -139,7 +139,7 @@ pub fn subset_sum() -> ComplexityBenchmark {
     program.add_procedure(Procedure::new(
         "subsetSumAux",
         &["i", "n", "sum"],
-        &["size"],
+        &["size", "delta"],
         Stmt::seq(vec![
             tick("nTicks", 1),
             Stmt::if_else(

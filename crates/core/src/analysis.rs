@@ -27,10 +27,10 @@ use chora_ir::{
     fingerprint::level_keys, CallGraph, Component, Fingerprint, FingerprintBuilder, Procedure,
     Program, Stmt,
 };
-use chora_logic::{Atom, Polyhedron, TransitionFormula};
+use chora_logic::{Atom, Polyhedron, SatMemo, TransitionFormula};
 use chora_telemetry::trace;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Analysis configuration (used for ablation experiments).
@@ -249,6 +249,12 @@ impl Analyzer {
         // only this batch's deltas (stores are reused across bench runs
         // and live for a whole `chora serve` process).
         let (evictions_before, gc_evictions_before) = eviction_totals(store);
+        // One satisfiability memo per batch: every worker answers repeated
+        // emptiness queries from it, and it drops when the batch returns,
+        // so no verdict (and no work-count difference) leaks into the next
+        // analysis.  `run_ready_queue` hands it on to its worker threads.
+        let sat_memo = Arc::new(SatMemo::default());
+        let _sat_scope = sat_memo.enter();
         // One flight group per batch: a single-flight store layer must
         // treat this run's own in-progress computations as plain misses
         // (their stores happen in the fold below), while still letting
@@ -898,6 +904,9 @@ fn analysis_metrics() -> &'static AnalysisMetrics {
 /// A panicking task marks the run poisoned and wakes every worker (so none
 /// deadlocks waiting for tasks that will never arrive) before propagating
 /// the panic through the scope join.
+///
+/// Workers inherit the calling thread's [`SatMemo`] scope, so a batch's
+/// emptiness verdicts are shared across its lanes.
 fn run_ready_queue<T, F>(
     jobs: usize,
     dependents: &[Vec<usize>],
@@ -946,6 +955,7 @@ where
     let available = Condvar::new();
     let done = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
+    let sat_memo = SatMemo::current();
     std::thread::scope(|scope| {
         let slots = &slots;
         let counts = &counts;
@@ -955,9 +965,11 @@ where
         let done = &done;
         let poisoned = &poisoned;
         let f = &f;
+        let sat_memo = &sat_memo;
         for w in 0..workers {
             scope.spawn(move || {
                 trace::claim_lane(&format!("worker-{w}"));
+                let _sat_scope = sat_memo.as_ref().map(SatMemo::enter);
                 loop {
                     let task = {
                         let mut queue = ready.lock().expect("scheduler queue lock");

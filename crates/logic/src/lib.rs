@@ -10,7 +10,14 @@
 //! * [`TransitionFormula`] — bounded-DNF relations between pre-state and
 //!   post-state, the representation on which procedure summaries, the
 //!   hypothetical summaries of Alg. 2, and the depth-bounding model of
-//!   Alg. 4 are all built.
+//!   Alg. 4 are all built,
+//! * [`SatMemo`] — the scoped satisfiability memo: while a [`MemoScope`]
+//!   is installed (the analyzer installs one per batch), each distinct
+//!   emptiness query, keyed by a 128-bit fingerprint of its verbatim atom
+//!   sequence, runs Fourier–Motzkin once and its repeats are answered from
+//!   the memo.  The answers are exact because emptiness is a deterministic
+//!   function of the atom sequence; outside a scope every query is decided
+//!   afresh.
 //!
 //! In the original CHORA implementation these roles are played by Z3 plus the
 //! SRK/duet wedge domain; here they are built from scratch on exact rational
@@ -37,10 +44,12 @@
 //! ```
 
 mod atom;
+mod memo;
 mod polyhedron;
 pub mod stats;
 mod transition;
 
 pub use atom::{Atom, AtomKind};
+pub use memo::{MemoScope, SatMemo};
 pub use polyhedron::Polyhedron;
 pub use transition::{TransitionFormula, DEFAULT_DISJUNCT_CAP};

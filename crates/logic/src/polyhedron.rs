@@ -7,6 +7,15 @@
 //! All domain operations — satisfiability, Fourier–Motzkin projection,
 //! convex-hull join (Balas' extended formulation), entailment — are carried
 //! out on the linearized view and mapped back to polynomial atoms.
+//!
+//! Emptiness is the primitive every other operation reaches: entailment
+//! ([`Polyhedron::implies_atom`], [`Polyhedron::is_subset_of`]), joins, and
+//! the sequencing and subsumption steps of transition formulas.
+//! [`Polyhedron::is_empty_set`] and the per-disjunct checks of
+//! `implies_atom` therefore go through the scoped satisfiability memo
+//! ([`crate::SatMemo`], which states the key and the exactness argument).
+//! Outside a memo scope, and on the `*_naive` oracle paths, every query
+//! runs the elimination.
 
 use crate::atom::{Atom, AtomKind};
 use crate::stats::fm_stat;
@@ -134,11 +143,11 @@ impl Polyhedron {
     }
 
     /// Whether the polyhedron is unsatisfiable over the rationals.
+    ///
+    /// Answered by the current thread's [`crate::SatMemo`] when a scope is
+    /// installed and the same atom sequence was decided before.
     pub fn is_empty_set(&self) -> bool {
-        match Linearized::new(&self.atoms) {
-            None => true,
-            Some(sys) => sys.is_unsat(),
-        }
+        crate::memo::emptiness(&self.atoms, None, || decide_empty(&self.atoms))
     }
 
     /// Whether every point of the polyhedron satisfies the atom.
@@ -147,10 +156,15 @@ impl Polyhedron {
             return true;
         }
         // P ⊨ a  iff  P ∧ ¬a is unsatisfiable, for every disjunct of ¬a.
+        // The memo keys `P ∧ ¬a` by streaming, so `P` is copied only when
+        // the query has to be decided.
         atom.negate().iter().all(|neg| {
-            let mut with_neg = self.clone();
-            with_neg.atoms.push(neg.clone());
-            with_neg.is_empty_set()
+            crate::memo::emptiness(&self.atoms, Some(neg), || {
+                let mut with_neg = Vec::with_capacity(self.atoms.len() + 1);
+                with_neg.extend_from_slice(&self.atoms);
+                with_neg.push(neg.clone());
+                decide_empty(&with_neg)
+            })
         })
     }
 
@@ -500,6 +514,15 @@ impl Polyhedron {
             with_neg.atoms.push(neg.clone());
             with_neg.is_empty_set_naive()
         })
+    }
+}
+
+/// Emptiness of a verbatim atom sequence by linearization and
+/// Fourier–Motzkin elimination — the unmemoized decision procedure.
+fn decide_empty(atoms: &[Atom]) -> bool {
+    match Linearized::new(atoms) {
+        None => true,
+        Some(sys) => sys.is_unsat(),
     }
 }
 
@@ -1005,6 +1028,7 @@ fn eliminate_rows(
     if pos.len() * neg.len() + next.live > FM_CONSTRAINT_BUDGET {
         // Over-approximate: drop every row involving d (the pre-existing
         // budget fallback).
+        fm_stat!(BUDGET_FALLBACKS);
         return (next, false);
     }
     'combine: for (p_rest, pk, pc, pa, pg) in &pos {

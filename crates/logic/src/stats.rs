@@ -8,7 +8,10 @@
 //! elimination step produced.  The counters are process-wide relaxed
 //! atomics, mirroring `chora_numeric::stats`, and [`register_metrics`]
 //! publishes the same cells into the [`chora_telemetry::metrics`] registry
-//! as `chora_fm_*` series for the `/v1/metrics` scrape.
+//! as `chora_fm_*` series for the `/v1/metrics` scrape.  The satisfiability
+//! layer above it counts its emptiness queries, the ones the scoped memo
+//! (see [`crate::SatMemo`]) answered, and the budget fallbacks that make an
+//! elimination inexact; those publish as `chora_logic_*_total`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
@@ -29,6 +32,17 @@ pub struct FmStats {
     pub early_unsat_exits: u64,
     /// The largest live constraint count any elimination step produced.
     pub max_width: u64,
+    /// Emptiness queries put to the memoized entry points
+    /// (`Polyhedron::is_empty_set` and each negated disjunct of
+    /// `Polyhedron::implies_atom`), inside a memo scope or not.
+    pub sat_queries: u64,
+    /// Of those, the queries a [`crate::SatMemo`] answered without running
+    /// an elimination.
+    pub sat_memo_hits: u64,
+    /// Elimination steps that exceeded the constraint budget and dropped
+    /// the rows mentioning the dimension (a sound over-approximation); zero
+    /// means every elimination was exact.
+    pub budget_fallbacks: u64,
 }
 
 pub(crate) static ROWS_GENERATED: AtomicU64 = AtomicU64::new(0);
@@ -37,6 +51,9 @@ pub(crate) static ROWS_DOMINATED: AtomicU64 = AtomicU64::new(0);
 pub(crate) static IMBERT_SKIPPED: AtomicU64 = AtomicU64::new(0);
 pub(crate) static EARLY_UNSAT_EXITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static MAX_WIDTH: AtomicU64 = AtomicU64::new(0);
+pub(crate) static SAT_QUERIES: AtomicU64 = AtomicU64::new(0);
+pub(crate) static SAT_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static BUDGET_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the current counter values.
 pub fn snapshot() -> FmStats {
@@ -47,6 +64,9 @@ pub fn snapshot() -> FmStats {
         imbert_skipped: IMBERT_SKIPPED.load(Ordering::Relaxed),
         early_unsat_exits: EARLY_UNSAT_EXITS.load(Ordering::Relaxed),
         max_width: MAX_WIDTH.load(Ordering::Relaxed),
+        sat_queries: SAT_QUERIES.load(Ordering::Relaxed),
+        sat_memo_hits: SAT_MEMO_HITS.load(Ordering::Relaxed),
+        budget_fallbacks: BUDGET_FALLBACKS.load(Ordering::Relaxed),
     }
 }
 
@@ -58,6 +78,9 @@ pub fn reset() {
     IMBERT_SKIPPED.store(0, Ordering::Relaxed);
     EARLY_UNSAT_EXITS.store(0, Ordering::Relaxed);
     MAX_WIDTH.store(0, Ordering::Relaxed);
+    SAT_QUERIES.store(0, Ordering::Relaxed);
+    SAT_MEMO_HITS.store(0, Ordering::Relaxed);
+    BUDGET_FALLBACKS.store(0, Ordering::Relaxed);
 }
 
 #[inline]
@@ -71,7 +94,7 @@ pub(crate) fn bump(counter: &AtomicU64) {
 }
 
 /// Publishes the counters into the process-wide metrics registry as
-/// `chora_fm_*` series.  Idempotent.
+/// `chora_fm_*` and `chora_logic_*` series.  Idempotent.
 pub fn register_metrics() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -105,6 +128,21 @@ pub fn register_metrics() {
             "chora_fm_max_width",
             "Largest live constraint count any FM elimination step produced.",
             &MAX_WIDTH,
+        );
+        registry.register_counter_static(
+            "chora_logic_sat_queries_total",
+            "Emptiness queries put to the memoized satisfiability entry points.",
+            &SAT_QUERIES,
+        );
+        registry.register_counter_static(
+            "chora_logic_sat_memo_hits_total",
+            "Emptiness queries answered by the per-analysis satisfiability memo.",
+            &SAT_MEMO_HITS,
+        );
+        registry.register_counter_static(
+            "chora_logic_budget_fallbacks_total",
+            "FM elimination steps that exceeded the constraint budget and dropped rows.",
+            &BUDGET_FALLBACKS,
         );
     });
 }

@@ -14,12 +14,18 @@
 //! * satisfiability verdicts agree, including on contradictory systems,
 //! * single-atom and batched (`implies_all`, with its early-unsat exit)
 //!   entailment agree with the naive oracle.
+//!
+//! A second differential check covers the scoped satisfiability memo:
+//! inside a [`SatMemo`] scope, emptiness, entailment and join answer
+//! exactly as they do without one, both when a query is first decided and
+//! when it is answered from the memo.
 
 use chora_expr::{Polynomial, Symbol};
-use chora_logic::{Atom, Polyhedron};
+use chora_logic::{Atom, Polyhedron, SatMemo};
 use chora_numeric::rat;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const VARS: [&str; 3] = ["x", "y", "z"];
 
@@ -47,6 +53,20 @@ fn atom_strategy() -> impl Strategy<Value = Atom> {
 
 fn polyhedron_strategy() -> impl Strategy<Value = Polyhedron> {
     prop::collection::vec(atom_strategy(), 1..8).prop_map(Polyhedron::from_atoms)
+}
+
+/// Everything the memoized entry points answer about `p`, `q` and `goals`.
+fn memoizable_answers(
+    p: &Polyhedron,
+    q: &Polyhedron,
+    goals: &[Atom],
+) -> (bool, Vec<bool>, bool, Polyhedron) {
+    (
+        p.is_empty_set(),
+        goals.iter().map(|g| p.implies_atom(g)).collect(),
+        p.implies_all(goals),
+        p.join(q),
+    )
 }
 
 /// Regression: an unsatisfiable all-`Le` system on which a naive counting
@@ -147,5 +167,25 @@ proptest! {
         let batched = p.implies_all(&goals);
         let oracle = goals.iter().all(|g| p.implies_atom_naive(g));
         prop_assert_eq!(batched, oracle, "p = {}", &p);
+    }
+
+    #[test]
+    fn memoized_queries_agree_with_unscoped(
+        p in polyhedron_strategy(),
+        q in polyhedron_strategy(),
+        goals in prop::collection::vec(atom_strategy(), 1..4),
+    ) {
+        let unscoped = memoizable_answers(&p, &q, &goals);
+        let memo = Arc::new(SatMemo::default());
+        let _scope = memo.enter();
+        // The first pass decides and records; the second is answered from
+        // the memo, which therefore learns nothing new.
+        let decided = memoizable_answers(&p, &q, &goals);
+        let recorded = memo.len();
+        let answered = memoizable_answers(&p, &q, &goals);
+        prop_assert_eq!(&decided, &unscoped, "p = {}, q = {}", &p, &q);
+        prop_assert_eq!(&answered, &unscoped, "p = {}, q = {}", &p, &q);
+        prop_assert!(recorded > 0);
+        prop_assert_eq!(memo.len(), recorded);
     }
 }
