@@ -8,7 +8,7 @@ use crate::json::Json;
 use crate::parser::parse_program;
 use chora_core::{
     complexity, AnalysisConfig, AnalysisResult, Analyzer, CacheStats, ComplexityClass, DiskStore,
-    RemoteConfig, RemoteStore, SummaryStore, TieredConfig, TieredStore,
+    SummaryStore,
 };
 use chora_expr::Symbol;
 use chora_ir::Program;
@@ -116,10 +116,6 @@ pub struct FileOptions {
     pub cache_dir: Option<String>,
     /// Ignore `cache_dir` even when set (`--no-cache`).
     pub no_cache: bool,
-    /// Remote fleet-cache daemons (`--remote-cache ADDR[,ADDR...]`): peer
-    /// `chora serve` instances consulted as an L3 tier behind memory and
-    /// disk.  `--no-cache` disables this tier too.
-    pub remote_cache: Option<String>,
     /// Suppress the stderr cache/timing chatter (`--quiet`); stdout is
     /// unaffected (it never carried the chatter in the first place).
     pub quiet: bool,
@@ -142,86 +138,21 @@ impl Default for FileOptions {
             jobs: 1,
             cache_dir: None,
             no_cache: false,
-            remote_cache: None,
             quiet: false,
             trace_out: None,
         }
     }
 }
 
-/// The store a one-shot command runs against: the bare [`DiskStore`] when
-/// only `--cache-dir` is given (the long-standing behavior), or a full
-/// tiered store — memory L1, optional disk L2, remote fleet L3 — when
-/// `--remote-cache` names at least one peer daemon.
-enum CliStore {
-    Disk(DiskStore),
-    Tiered(Box<TieredStore>),
-}
-
-impl CliStore {
-    fn as_dyn(&self) -> &dyn SummaryStore {
-        match self {
-            CliStore::Disk(store) => store,
-            CliStore::Tiered(store) => store.as_ref(),
-        }
-    }
-
-    /// Reports the remote-tier counters on **stderr**, mirroring
-    /// [`report_cache_stats`]: stdout stays byte-identical whether the
-    /// fleet tier is present, absent, cold, or warm.
-    fn report_remote(&self) {
-        let CliStore::Tiered(tiered) = self else {
-            return;
-        };
-        let Some(remote) = tiered.remote() else {
-            return;
-        };
-        let targets = remote.addrs().len();
-        eprintln!(
-            "remote cache: {} hits, {} misses, {} stores, {} errors, {} skipped \
-             ({targets} target{})",
-            remote.hits(),
-            remote.misses(),
-            remote.stores(),
-            remote.errors(),
-            remote.skipped(),
-            if targets == 1 { "" } else { "s" },
-        );
-    }
-}
-
-/// Opens the summary store requested by the options (if any).  `--no-cache`
-/// disables every tier, remote included.
-fn open_store(
-    cache_dir: &Option<String>,
-    no_cache: bool,
-    remote_cache: &Option<String>,
-) -> Result<Option<CliStore>, CliError> {
-    if no_cache {
-        return Ok(None);
-    }
-    let disk = match cache_dir {
-        Some(dir) => Some(
-            DiskStore::open(dir)
-                .map_err(|e| CliError(format!("cannot open cache directory `{dir}`: {e}")))?,
-        ),
-        None => None,
-    };
-    match remote_cache {
-        Some(spec) => {
-            let remote =
-                RemoteStore::from_spec(spec, RemoteConfig::default()).ok_or_else(|| {
-                    CliError(
-                        "--remote-cache expects ADDR[,ADDR...] with at least one address".into(),
-                    )
-                })?;
-            Ok(Some(CliStore::Tiered(Box::new(TieredStore::with_remote(
-                disk,
-                remote,
-                TieredConfig::default(),
-            )))))
-        }
-        None => Ok(disk.map(CliStore::Disk)),
+/// Opens the disk store requested by the options (if any): the one-shot
+/// commands run against a bare [`DiskStore`] under `--cache-dir`, and
+/// `--no-cache` disables it.
+fn open_store(cache_dir: &Option<String>, no_cache: bool) -> Result<Option<DiskStore>, CliError> {
+    match cache_dir {
+        Some(dir) if !no_cache => DiskStore::open(dir)
+            .map(Some)
+            .map_err(|e| CliError(format!("cannot open cache directory `{dir}`: {e}"))),
+        _ => Ok(None),
     }
 }
 
@@ -330,14 +261,13 @@ pub fn analyze_with_stats(
     opts: &FileOptions,
 ) -> Result<(String, i32, Option<CacheStats>), CliError> {
     let src = read_source(&opts.path)?;
-    let store = open_store(&opts.cache_dir, opts.no_cache, &opts.remote_cache)?;
-    let result = analyze_source(&opts.path, &src, opts, store.as_ref().map(CliStore::as_dyn));
-    if result.is_ok() && !opts.quiet {
-        if let Some(store) = &store {
-            store.report_remote();
-        }
-    }
-    result
+    let store = open_store(&opts.cache_dir, opts.no_cache)?;
+    analyze_source(
+        &opts.path,
+        &src,
+        opts,
+        store.as_ref().map(|s| s as &dyn SummaryStore),
+    )
 }
 
 /// The in-memory core of `chora analyze`: program text in, report out.
@@ -346,8 +276,8 @@ pub fn analyze_with_stats(
 /// rendering (a path for the CLI, the request-supplied name for the
 /// server); `store` is any [`SummaryStore`] — the CLI passes a per-run
 /// [`DiskStore`], `chora serve` its resident
-/// [`TieredStore`].  This is the function the
-/// server calls directly, so the daemon never shells out.
+/// [`chora_core::TieredStore`].  This is the function the server calls
+/// directly, so the daemon never shells out.
 ///
 /// The analyzer threads its per-component fresh-symbol scope assignment
 /// (a [`chora_core::ScopeResolver`]) through every store operation, so
@@ -519,14 +449,13 @@ pub(crate) fn render_analysis(
 pub fn complexity_cmd(opts: &FileOptions) -> Result<(String, i32), CliError> {
     let session = start_trace(&opts.trace_out)?;
     let src = read_source(&opts.path)?;
-    let store = open_store(&opts.cache_dir, opts.no_cache, &opts.remote_cache)?;
-    let (output, exit, stats) =
-        complexity_source(&opts.path, &src, opts, store.as_ref().map(CliStore::as_dyn))?;
-    if !opts.quiet {
-        if let Some(store) = &store {
-            store.report_remote();
-        }
-    }
+    let store = open_store(&opts.cache_dir, opts.no_cache)?;
+    let (output, exit, stats) = complexity_source(
+        &opts.path,
+        &src,
+        opts,
+        store.as_ref().map(|s| s as &dyn SummaryStore),
+    )?;
     write_trace(session, &opts.trace_out, opts.quiet)?;
     if !opts.quiet {
         report_cache_stats(opts.json, stats.as_ref());
@@ -631,9 +560,6 @@ pub struct BenchOptions {
     pub cache_dir: Option<String>,
     /// Ignore `cache_dir` even when set.
     pub no_cache: bool,
-    /// Remote fleet-cache daemons consulted as an L3 tier — see
-    /// [`FileOptions::remote_cache`].
-    pub remote_cache: Option<String>,
     /// Benchmark through a live in-process `chora serve` daemon instead of
     /// calling the library: requests/sec cold vs warm over real HTTP
     /// (`bench --server DIR`).
@@ -653,7 +579,6 @@ impl Default for BenchOptions {
             programs_dir: None,
             cache_dir: None,
             no_cache: false,
-            remote_cache: None,
             server: false,
             trace_out: None,
         }
@@ -724,7 +649,7 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
     // per-phase wall-clock timings — the on-disk counterpart of the
     // built-in suites.  With --cache-dir every program is analyzed twice
     // (cold, then warm) so the cache win is directly visible.
-    let store = open_store(&opts.cache_dir, opts.no_cache, &opts.remote_cache)?;
+    let store = open_store(&opts.cache_dir, opts.no_cache)?;
     let mut program_rows: Vec<ProgramRow> = Vec::new();
     if let Some(dir) = &opts.programs_dir {
         let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
@@ -747,11 +672,15 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
             let parse_ms = parse_started.elapsed().as_secs_f64() * 1e3;
             let analyzer = analyzer_with_jobs(opts.jobs);
             let started = Instant::now();
-            let result = run_analysis(&analyzer, &program, store.as_ref().map(CliStore::as_dyn));
+            let result = run_analysis(
+                &analyzer,
+                &program,
+                store.as_ref().map(|s| s as &dyn SummaryStore),
+            );
             let analysis_ms = started.elapsed().as_secs_f64() * 1e3;
             let warm = store.as_ref().map(|s| {
                 let warm_started = Instant::now();
-                let warm_result = run_analysis(&analyzer, &program, Some(s.as_dyn()));
+                let warm_result = run_analysis(&analyzer, &program, Some(s));
                 (
                     warm_started.elapsed().as_secs_f64() * 1e3,
                     warm_result.cache,
@@ -767,10 +696,6 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
                 warm,
             });
         }
-    }
-
-    if let Some(store) = &store {
-        store.report_remote();
     }
 
     if rows.is_empty() && assertion_rows.is_empty() && program_rows.is_empty() {

@@ -47,14 +47,7 @@ OPTIONS (analyze / complexity / bench):
                       cone.  Cache counters (hits/misses/evictions) print
                       on stderr; stdout is byte-identical with and without
                       the cache.  `bench` runs each program cold and warm
-    --no-cache        Ignore --cache-dir and --remote-cache (force a full
-                      analysis)
-    --remote-cache ADDR[,ADDR...]
-                      Consult peer `chora serve` daemons as a remote L3
-                      summary tier behind memory and disk; keys are spread
-                      over the ADDRs by rendezvous hashing.  Unreachable
-                      peers are skipped — output is byte-identical with the
-                      fleet tier on, off, cold, or warm
+    --no-cache        Ignore --cache-dir (force a full analysis)
     --quiet           Suppress the stderr cache/timing chatter
     --proc NAME       Procedure to report on (default: all for analyze;
                       sole procedure or main for complexity)
@@ -80,10 +73,6 @@ OPTIONS (serve):
                       Store byte budget (default 64M; 0 = unbounded)
     --cache-max-age SECS[s|m|h]
                       Evict entries older than this (default: never)
-    --remote-cache ADDR[,ADDR...]
-                      Peer daemons used as a remote L3 summary tier (fleet
-                      mode); this daemon also serves its own store to peers
-                      via GET/PUT /v1/summaries/{key}
     --quiet           Suppress per-request logging
     --log-format text|json
                       Per-request log line shape (default text)
@@ -140,6 +129,16 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// Fails on the first argument that looks like a flag: every flag the
+/// subcommand knows has been taken out by now, so a leftover `--...` is
+/// unknown, not a FILE.
+fn reject_unknown_flags(args: &[String]) -> Result<(), String> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(format!("unknown flag {flag}; run `chora --help`")),
+        None => Ok(()),
+    }
+}
+
 fn run() -> Result<(String, i32), String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" || args[0] == "help" {
@@ -155,12 +154,12 @@ fn run() -> Result<(String, i32), String> {
             let size_param = take_value(&mut args, "--size")?;
             let cache_dir = take_value(&mut args, "--cache-dir")?;
             let no_cache = take_flag(&mut args, "--no-cache");
-            let remote_cache = take_value(&mut args, "--remote-cache")?;
             let quiet = take_flag(&mut args, "--quiet");
             let trace_out = take_value(&mut args, "--trace-out")?;
             if subcommand == "analyze" && (cost_var.is_some() || size_param.is_some()) {
                 return Err("--cost and --size only apply to `chora complexity`".to_string());
             }
+            reject_unknown_flags(&args)?;
             let [path] = args.as_slice() else {
                 return Err(format!(
                     "`chora {subcommand}` expects exactly one FILE argument; \
@@ -176,7 +175,6 @@ fn run() -> Result<(String, i32), String> {
                 jobs,
                 cache_dir,
                 no_cache,
-                remote_cache,
                 quiet,
                 trace_out,
             };
@@ -193,9 +191,9 @@ fn run() -> Result<(String, i32), String> {
             let filter = take_value(&mut args, "--filter")?;
             let cache_dir = take_value(&mut args, "--cache-dir")?;
             let no_cache = take_flag(&mut args, "--no-cache");
-            let remote_cache = take_value(&mut args, "--remote-cache")?;
             let server = take_flag(&mut args, "--server");
             let trace_out = take_value(&mut args, "--trace-out")?;
+            reject_unknown_flags(&args)?;
             let programs_dir = match args.as_slice() {
                 [] => None,
                 [dir] => Some(dir.clone()),
@@ -208,13 +206,13 @@ fn run() -> Result<(String, i32), String> {
                 programs_dir,
                 cache_dir,
                 no_cache,
-                remote_cache,
                 server,
                 trace_out,
             })
             .map_err(|e| e.to_string())
         }
         "print" => {
+            reject_unknown_flags(&args)?;
             let [path] = args.as_slice() else {
                 return Err("`chora print` expects exactly one FILE argument".to_string());
             };
@@ -238,7 +236,6 @@ fn run() -> Result<(String, i32), String> {
                 None => None,
                 Some(v) => Some(chora_cli::serve::parse_max_age(&v)?),
             };
-            let remote_cache = take_value(&mut args, "--remote-cache")?;
             let quiet = take_flag(&mut args, "--quiet");
             let log_format = match take_value(&mut args, "--log-format")? {
                 None => chora_server::LogFormat::Text,
@@ -250,6 +247,7 @@ fn run() -> Result<(String, i32), String> {
                     format!("--slow-request-ms expects a number of milliseconds, got `{v}`")
                 })?),
             };
+            reject_unknown_flags(&args)?;
             if !args.is_empty() {
                 return Err(format!("unexpected arguments: {}", args.join(" ")));
             }
@@ -259,7 +257,6 @@ fn run() -> Result<(String, i32), String> {
                 cache_dir,
                 cache_cap_bytes,
                 cache_max_age,
-                remote_cache,
                 quiet,
                 log_format,
                 slow_request_ms,
@@ -282,6 +279,7 @@ fn run() -> Result<(String, i32), String> {
             // Accepted for scripting symmetry with the other subcommands;
             // `request` has no stderr chatter of its own to silence.
             let _ = take_flag(&mut args, "--quiet");
+            reject_unknown_flags(&args)?;
             if args.is_empty() {
                 return Err(
                     "`chora request` expects ENDPOINT [FILE...]; run `chora --help`".to_string(),

@@ -25,10 +25,7 @@ use crate::driver::{
 };
 use crate::json::Json;
 use crate::progcache::{response_key, source_key, ShardedLru};
-use chora_core::{
-    entry_key, DiskStore, FlightCounters, ProcedureSummary, RemoteConfig, RemoteStore,
-    ScopeResolver, SingleFlight, StoreStats, SummaryStore, TierCounters, TieredConfig, TieredStore,
-};
+use chora_core::{DiskStore, SummaryStore, TierCounters, TieredConfig, TieredStore};
 use chora_ir::{Fingerprint, Program};
 use chora_server::client::Client;
 use chora_server::http::{encode_query_component, json_string};
@@ -37,8 +34,6 @@ use chora_server::{AnalysisBackend, LogFormat, ServerConfig, ServerHandle};
 use chora_telemetry::metrics::registry;
 use chora_telemetry::trace;
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -73,10 +68,6 @@ pub struct ServeOptions {
     pub cache_cap_bytes: Option<u64>,
     /// Entry expiry (`--cache-max-age`); `None` = entries never expire.
     pub cache_max_age: Option<Duration>,
-    /// Remote L3 summary cache (`--remote-cache URL[,URL...]`): peer
-    /// `chora serve` daemons probed behind memory and disk, and published
-    /// to write-through.
-    pub remote_cache: Option<String>,
     /// Suppress per-request logging (`--quiet`).
     pub quiet: bool,
     /// Request log line shape (`--log-format text|json`).
@@ -94,7 +85,6 @@ impl Default for ServeOptions {
             cache_dir: None,
             cache_cap_bytes: None,
             cache_max_age: None,
-            remote_cache: None,
             quiet: false,
             log_format: LogFormat::Text,
             slow_request_ms: None,
@@ -133,126 +123,11 @@ pub fn parse_max_age(value: &str) -> Result<Duration, String> {
     Ok(Duration::from_secs(n.saturating_mul(unit_secs)))
 }
 
-/// Upper bound on the publisher map: at ~32 bytes per entry this caps the
-/// attribution state at a few MiB; past it, new keys simply go
-/// unattributed (the cross-program counter under-counts, never lies).
-const PUBLISHER_CAP: usize = 1 << 18;
-
-/// The daemon's summary store: the [`TieredStore`] behind a
-/// [`SingleFlight`] layer (so concurrent requests missing the same
-/// component analyze it once), plus the `/v1/summaries` serving side —
-/// publisher attribution for the cross-program reuse counter and the
-/// endpoint's own hit accounting.
-pub struct ServiceStore {
-    flight: SingleFlight<TieredStore>,
-    /// Component key → source-program fingerprint of its *first*
-    /// publisher, for classifying later fetches as same- or cross-program.
-    publishers: Mutex<HashMap<u128, u128>>,
-    cross_program_hits: AtomicU64,
-    summary_gets: AtomicU64,
-    summary_get_hits: AtomicU64,
-    summary_puts: AtomicU64,
-}
-
-impl ServiceStore {
-    fn new(tiered: TieredStore) -> ServiceStore {
-        ServiceStore {
-            flight: SingleFlight::new(tiered),
-            publishers: Mutex::new(HashMap::new()),
-            cross_program_hits: AtomicU64::new(0),
-            summary_gets: AtomicU64::new(0),
-            summary_get_hits: AtomicU64::new(0),
-            summary_puts: AtomicU64::new(0),
-        }
-    }
-
-    /// The tier stack (tests and `bench --server` read its counters).
-    pub fn tiered(&self) -> &TieredStore {
-        self.flight.inner()
-    }
-
-    /// The single-flight coalescing counters.
-    pub fn flight_counters(&self) -> FlightCounters {
-        self.flight.counters()
-    }
-
-    /// Remote fetches of keys first published by a *different* source
-    /// program — the fleet's cross-program dedup signal.
-    pub fn cross_program_hits(&self) -> u64 {
-        self.cross_program_hits.load(Ordering::Relaxed)
-    }
-
-    /// Remembers the first source program to publish `key` (local store or
-    /// peer upload); later publishers keep the original attribution.
-    fn record_publisher(&self, key: &Fingerprint, src: Fingerprint) {
-        let mut publishers = self.publishers.lock().expect("publisher map lock");
-        if publishers.len() < PUBLISHER_CAP || publishers.contains_key(&key.0) {
-            publishers.entry(key.0).or_insert(src.0);
-        }
-    }
-
-    /// `GET /v1/summaries/{key}`: the raw entry from the local tiers.
-    fn serve_get(&self, key: &Fingerprint, src: Option<Fingerprint>) -> Option<String> {
-        self.summary_gets.fetch_add(1, Ordering::Relaxed);
-        let text = self.tiered().load_local_text(key)?;
-        self.summary_get_hits.fetch_add(1, Ordering::Relaxed);
-        // Fetches never claim authorship — only stores and uploads do —
-        // so attribution reflects who computed, not who asked first.
-        if let Some(src) = src {
-            let publisher = self
-                .publishers
-                .lock()
-                .expect("publisher map lock")
-                .get(&key.0)
-                .copied();
-            if publisher.is_some_and(|p| p != src.0) {
-                self.cross_program_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Some(text)
-    }
-
-    /// `PUT /v1/summaries/{key}`: validate the envelope, adopt locally.
-    fn serve_put(
-        &self,
-        key: &Fingerprint,
-        src: Option<Fingerprint>,
-        entry: &str,
-    ) -> Result<(), String> {
-        self.summary_puts.fetch_add(1, Ordering::Relaxed);
-        if entry_key(entry) != Some(*key) {
-            return Err("entry body does not match the key (or wrong cache version)".to_string());
-        }
-        self.tiered().store_local_text(key, entry);
-        if let Some(src) = src {
-            self.record_publisher(key, src);
-        }
-        Ok(())
-    }
-}
-
-impl SummaryStore for ServiceStore {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>> {
-        self.flight.load(key, scopes)
-    }
-
-    fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver) {
-        if let Some(src) = scopes.source_tag() {
-            self.record_publisher(key, src);
-        }
-        self.flight.store(key, summaries, scopes);
-    }
-
-    fn stats(&self) -> Vec<StoreStats> {
-        self.flight.stats()
-    }
-}
-
-/// The resident analysis service: the [`ServiceStore`], the parse and
+/// The resident analysis service: the [`TieredStore`], the parse and
 /// response caches shared by every request, plus the default per-request
 /// options.
 pub struct AnalysisService {
-    store: ServiceStore,
+    store: TieredStore,
     /// Parsed programs keyed by source fingerprint.  Parse *errors* are
     /// never cached: their rendering embeds the request's display name,
     /// so they are not shareable across requests.
@@ -299,21 +174,8 @@ impl AnalysisService {
         // started daemon's /v1/metrics already lists every family.
         chora_logic::stats::register_metrics();
         chora_numeric::stats::register_metrics();
-        let remote = opts
-            .remote_cache
-            .as_ref()
-            .and_then(|spec| RemoteStore::from_spec(spec, RemoteConfig::default()));
-        if opts.remote_cache.is_some() && remote.is_none() {
-            return Err(CliError(
-                "--remote-cache expects ADDR[,ADDR...] with at least one address".to_string(),
-            ));
-        }
-        let tiered = match remote {
-            Some(remote) => TieredStore::with_remote(disk, remote, config),
-            None => TieredStore::new(disk, config),
-        };
         Ok(AnalysisService {
-            store: ServiceStore::new(tiered),
+            store: TieredStore::new(disk, config),
             parsed: ShardedLru::new(PARSE_CACHE_BYTES),
             responses: ShardedLru::new(RESPONSE_CACHE_BYTES),
             analysis_jobs: 1,
@@ -321,15 +183,9 @@ impl AnalysisService {
         })
     }
 
-    /// The shared tier stack (tests and `bench --server` read its
+    /// The shared summary store (tests and `bench --server` read its
     /// counters).
     pub fn store(&self) -> &TieredStore {
-        self.store.tiered()
-    }
-
-    /// The full service store, including the single-flight layer and the
-    /// `/v1/summaries` serving counters.
-    pub fn service_store(&self) -> &ServiceStore {
         &self.store
     }
 
@@ -705,64 +561,9 @@ impl AnalysisBackend for AnalysisService {
         ))
     }
 
-    fn summary_get(&self, keyhex: &str, src: Option<&str>) -> Result<Option<String>, String> {
-        let key = Fingerprint::from_hex(keyhex)
-            .ok_or_else(|| format!("malformed summary key `{keyhex}`"))?;
-        let src = match src {
-            Some(hex) => Some(
-                Fingerprint::from_hex(hex)
-                    .ok_or_else(|| format!("malformed src fingerprint `{hex}`"))?,
-            ),
-            None => None,
-        };
-        Ok(self.store.serve_get(&key, src))
-    }
-
-    fn summary_put(&self, keyhex: &str, src: Option<&str>, entry: &str) -> Result<(), String> {
-        let key = Fingerprint::from_hex(keyhex)
-            .ok_or_else(|| format!("malformed summary key `{keyhex}`"))?;
-        let src = match src {
-            Some(hex) => Some(
-                Fingerprint::from_hex(hex)
-                    .ok_or_else(|| format!("malformed src fingerprint `{hex}`"))?,
-            ),
-            None => None,
-        };
-        self.store.serve_put(&key, src, entry)
-    }
-
     fn cache_counters(&self) -> Vec<(&'static str, u64)> {
-        let mut pairs = AnalysisService::counter_pairs(&self.store.tiered().counters());
-        if let Some(remote) = self.store.tiered().remote() {
-            pairs.extend([
-                ("remote_hits", remote.hits()),
-                ("remote_misses", remote.misses()),
-                ("remote_stores", remote.stores()),
-                ("remote_corrupt", remote.corrupt()),
-                ("remote_errors", remote.errors()),
-                ("remote_skipped", remote.skipped()),
-            ]);
-        }
-        let flight = self.store.flight_counters();
+        let mut pairs = AnalysisService::counter_pairs(&self.store.counters());
         pairs.extend([
-            (
-                "summary_gets",
-                self.store.summary_gets.load(Ordering::Relaxed),
-            ),
-            (
-                "summary_get_hits",
-                self.store.summary_get_hits.load(Ordering::Relaxed),
-            ),
-            (
-                "summary_puts",
-                self.store.summary_puts.load(Ordering::Relaxed),
-            ),
-            ("remote_cross_program_hits", self.store.cross_program_hits()),
-            ("singleflight_leads", flight.leads),
-            ("singleflight_waits", flight.waits),
-            ("singleflight_wait_hits", flight.wait_hits),
-            ("singleflight_wait_timeouts", flight.wait_timeouts),
-            ("singleflight_refused", flight.refused),
             ("parse_hits", self.parsed.hits()),
             ("parse_misses", self.parsed.misses()),
             ("parse_entries", self.parsed.entries()),
@@ -788,7 +589,7 @@ impl AnalysisBackend for AnalysisService {
     }
 
     fn maintain(&self) {
-        self.store.tiered().gc();
+        self.store.gc();
     }
 
     fn maintenance_interval(&self) -> Option<Duration> {
@@ -801,7 +602,7 @@ impl AnalysisBackend for AnalysisService {
     /// store aggregates across tiers on read, so there is no single static
     /// cell to borrow).
     fn sync_metrics(&self) {
-        let c = self.store.tiered().counters();
+        let c = self.store.counters();
         let reg = registry();
         let counters: [(&'static str, &'static str, u64); 11] = [
             (
@@ -861,76 +662,6 @@ impl AnalysisBackend for AnalysisService {
             ),
         ];
         for (name, help, value) in counters {
-            reg.counter(name, help).store(value);
-        }
-        // Fleet-cache and coalescing series: registered unconditionally
-        // (zero without a remote tier) so the families a dashboard scrapes
-        // exist from the first render.
-        let remote = self.store.tiered().remote();
-        let flight = self.store.flight_counters();
-        let fleet: [(&'static str, &'static str, u64); 12] = [
-            (
-                "chora_remote_cache_hits_total",
-                "Summary loads served by the remote fleet cache.",
-                remote.map_or(0, RemoteStore::hits),
-            ),
-            (
-                "chora_remote_cache_misses_total",
-                "Remote fleet-cache probes the peer could not answer.",
-                remote.map_or(0, RemoteStore::misses),
-            ),
-            (
-                "chora_remote_cache_stores_total",
-                "Summary entries published to the remote fleet cache.",
-                remote.map_or(0, RemoteStore::stores),
-            ),
-            (
-                "chora_remote_cache_corrupt_total",
-                "Remote fleet-cache responses rejected by validation.",
-                remote.map_or(0, RemoteStore::corrupt),
-            ),
-            (
-                "chora_remote_cache_errors_total",
-                "Remote fleet-cache requests that failed at the transport level.",
-                remote.map_or(0, RemoteStore::errors),
-            ),
-            (
-                "chora_remote_cache_skipped_total",
-                "Remote fleet-cache probes skipped while targets were in cooldown.",
-                remote.map_or(0, RemoteStore::skipped),
-            ),
-            (
-                "chora_remote_cache_cross_program_hits_total",
-                "Served summary fetches whose key was first published by a different source program.",
-                self.store.cross_program_hits(),
-            ),
-            (
-                "chora_summary_endpoint_gets_total",
-                "GET /v1/summaries/{key} requests served.",
-                self.store.summary_gets.load(Ordering::Relaxed),
-            ),
-            (
-                "chora_summary_endpoint_puts_total",
-                "PUT /v1/summaries/{key} requests served.",
-                self.store.summary_puts.load(Ordering::Relaxed),
-            ),
-            (
-                "chora_singleflight_leads_total",
-                "Store misses that took the computation lease.",
-                flight.leads,
-            ),
-            (
-                "chora_singleflight_waits_total",
-                "Store misses coalesced onto another request's computation.",
-                flight.waits,
-            ),
-            (
-                "chora_singleflight_wait_hits_total",
-                "Coalesced waits that adopted the leader's result.",
-                flight.wait_hits,
-            ),
-        ];
-        for (name, help, value) in fleet {
             reg.counter(name, help).store(value);
         }
         reg.gauge(
@@ -1172,7 +903,6 @@ pub fn bench_server(opts: &BenchOptions) -> Result<(String, i32), CliError> {
         addr: "127.0.0.1:0".to_string(),
         jobs: opts.jobs,
         cache_dir: opts.cache_dir.clone().filter(|_| !opts.no_cache),
-        remote_cache: opts.remote_cache.clone().filter(|_| !opts.no_cache),
         quiet: true,
         ..ServeOptions::default()
     };

@@ -92,6 +92,45 @@ fn missing_file_is_a_clean_error() {
 }
 
 #[test]
+fn bad_arguments_are_clean_errors_naming_the_problem() {
+    let fib = example("fib.imp");
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["analyze", &fib, &fib],
+            "`chora analyze` expects exactly one FILE argument",
+        ),
+        (&["complexity", "--cost"], "--cost requires a value"),
+        // A flag no subcommand takes is reported by name, not as a FILE.
+        (
+            &["analyze", "--remote-cache", "127.0.0.1:1", &fib],
+            "unknown flag --remote-cache",
+        ),
+        (&["complexity", &fib, "--bogus"], "unknown flag --bogus"),
+        (
+            &["bench", "--remote-cache", "x"],
+            "unknown flag --remote-cache",
+        ),
+        (
+            &["serve", "--remote-cache", "x"],
+            "unknown flag --remote-cache",
+        ),
+    ];
+    for (args, expected) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_chora"))
+            .args(args)
+            .output()
+            .expect("run chora");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(expected),
+            "{args:?}: expected `{expected}`, got: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn analyze_json_is_byte_identical_across_runs() {
     // The per-analysis FreshSource (and the structural symbol encoding) make
     // repeated analyses of the same file reproducible down to the byte; only

@@ -1,8 +1,8 @@
 //! End-to-end tests of `chora serve`: byte-identity of daemon responses
 //! against the CLI documents, the in-memory warm path, error envelopes,
 //! concurrent clients, graceful shutdown draining, batch vs single-shot
-//! byte-identity, and eviction under a byte cap never corrupting a
-//! response.
+//! byte-identity, eviction under a byte cap never corrupting a response,
+//! and `/v1/stats` agreeing with `/v1/metrics`.
 //!
 //! Every test runs its own daemon on an ephemeral port via
 //! [`chora_cli::spawn_server`] and talks real HTTP through the bundled
@@ -636,4 +636,147 @@ fn a_byte_capped_store_evicts_without_ever_corrupting_a_response() {
     );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `"cache"` section of `/v1/stats` as `(name, value)` pairs.
+fn stats_cache_counters(addr: &str) -> Vec<(String, u64)> {
+    let (status, body) = one_shot(addr, "GET", "/v1/stats", None).expect("stats");
+    assert_eq!(status, 200, "{body}");
+    let doc = Json::parse(&body).expect("stats JSON");
+    let Some(Json::Object(fields)) = doc.get("cache") else {
+        panic!("no cache object in:\n{body}");
+    };
+    fields
+        .iter()
+        .map(|(name, value)| match value {
+            Json::Int(n) => (name.clone(), u64::try_from(*n).expect("counter")),
+            other => panic!("cache.{name} is not an integer: {other:?}"),
+        })
+        .collect()
+}
+
+/// The unlabeled samples of `/v1/metrics` as `(name, value)` pairs.
+fn metric_samples(addr: &str) -> Vec<(String, u64)> {
+    let (status, body) = one_shot(addr, "GET", "/v1/metrics", None).expect("metrics");
+    assert_eq!(status, 200, "{body}");
+    body.lines()
+        .filter(|l| !l.starts_with('#') && !l.contains('{'))
+        .filter_map(|l| {
+            let (name, value) = l.split_once(' ')?;
+            Some((name.to_string(), value.parse::<f64>().ok()? as u64))
+        })
+        .collect()
+}
+
+#[test]
+fn stats_and_metrics_report_the_same_cache_counters() {
+    let dir = scratch("one-counter");
+    let cache_dir = dir.join("cache").display().to_string();
+    let file = example("fib.imp");
+    let source = std::fs::read_to_string(&file).expect("read example");
+    // A one-shot run leaves every component of the program on disk; by
+    // the time the daemon probes them they are past its max age.
+    let (_, _, seeded) = analyze_with_stats(&FileOptions {
+        path: file.clone(),
+        cache_dir: Some(cache_dir.clone()),
+        quiet: true,
+        ..FileOptions::default()
+    })
+    .expect("seeding run");
+    let components = seeded.expect("cache stats").misses;
+    assert!(components > 0);
+    std::thread::sleep(std::time::Duration::from_millis(2100));
+    // A 2s max age runs the GC pass every second: the requests below
+    // finish well before it, so the expiry is met on load.
+    let (handle, _service) = daemon(ServeOptions {
+        cache_dir: Some(cache_dir),
+        cache_max_age: Some(std::time::Duration::from_secs(2)),
+        ..ServeOptions::default()
+    });
+    let addr = handle.addr().to_string();
+    // Cold: every expired disk entry is evicted on load, then recomputed.
+    assert_eq!(post_source(&addr, &file, &source, "").0, 200);
+    // Warm repeat: answered by the response cache.
+    assert_eq!(post_source(&addr, &file, &source, "").0, 200);
+    // New source bytes, same program: served by the memory tier.
+    let edited = format!("{source}\n// edited\n");
+    assert_eq!(post_source(&addr, &file, &edited, "").0, 200);
+
+    // Each stats counter and the metric series that publishes it; the
+    // evictions total sums every eviction kind.
+    let series: [(&str, &[&str]); 13] = [
+        ("chora_cache_mem_hits_total", &["mem_hits"]),
+        ("chora_cache_disk_hits_total", &["disk_hits"]),
+        ("chora_cache_misses_total", &["misses"]),
+        ("chora_cache_stores_total", &["stores"]),
+        ("chora_cache_disk_probes_total", &["disk_probes"]),
+        (
+            "chora_cache_evictions_total",
+            &[
+                "lru_evictions",
+                "age_evictions",
+                "corrupt_evictions",
+                "disk_gc_removed",
+            ],
+        ),
+        ("chora_cache_evicted_bytes_total", &["evicted_bytes"]),
+        ("chora_cache_mem_entries", &["mem_entries"]),
+        ("chora_cache_mem_bytes", &["mem_bytes"]),
+        ("chora_parse_cache_hits_total", &["parse_hits"]),
+        ("chora_parse_cache_misses_total", &["parse_misses"]),
+        ("chora_response_cache_hits_total", &["response_hits"]),
+        ("chora_response_cache_misses_total", &["response_misses"]),
+    ];
+    // The cache counters with no metric series of their own.
+    let unpublished = ["parse_entries", "response_entries"];
+
+    // The registry is process-wide and other tests' daemons publish into
+    // it too, so a scrape can interleave with theirs; a real disagreement
+    // shows on every attempt.
+    let mut mismatch = String::new();
+    for _ in 0..20 {
+        let stats = stats_cache_counters(&addr);
+        let metrics = metric_samples(&addr);
+        let stat = |name: &str| {
+            stats
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap_or_else(|| panic!("no cache.{name} in /v1/stats"))
+                .1
+        };
+        let mut covered: Vec<&str> = unpublished.to_vec();
+        mismatch.clear();
+        for (metric, parts) in series {
+            covered.extend(parts);
+            let expected: u64 = parts.iter().map(|p| stat(p)).sum();
+            let published = metrics
+                .iter()
+                .find(|(n, _)| n == metric)
+                .unwrap_or_else(|| panic!("no {metric} in /v1/metrics"))
+                .1;
+            if published != expected {
+                mismatch += &format!("{metric} = {published}, stats {parts:?} = {expected}\n");
+            }
+        }
+        for (name, _) in &stats {
+            assert!(
+                covered.contains(&name.as_str()),
+                "cache.{name} has no metric series"
+            );
+        }
+        if mismatch.is_empty() {
+            // Each expired disk entry counts once, as an age eviction,
+            // never also as a GC removal.
+            assert_eq!(stat("age_evictions"), components);
+            assert_eq!(stat("disk_gc_removed"), 0);
+            assert_eq!(stat("misses"), components);
+            assert_eq!(stat("stores"), components);
+            assert_eq!(stat("mem_hits"), components);
+            assert_eq!(stat("response_hits"), 1);
+            handle.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+            return;
+        }
+    }
+    panic!("/v1/stats and /v1/metrics disagree:\n{mismatch}");
 }

@@ -255,11 +255,6 @@ impl Analyzer {
         // analysis.  `run_ready_queue` hands it on to its worker threads.
         let sat_memo = Arc::new(SatMemo::default());
         let _sat_scope = sat_memo.enter();
-        // One flight group per batch: a single-flight store layer must
-        // treat this run's own in-progress computations as plain misses
-        // (their stores happen in the fold below), while still letting
-        // other runs' misses coalesce onto ours.
-        let flight_group = crate::cache::next_flight_group();
         let jobs = self.effective_jobs();
         // Scopes are assigned per program, by bottom-up component order
         // (then by procedure order for the assertion pass), identically for
@@ -279,9 +274,7 @@ impl Analyzer {
                 // flattened bottom-up order in which scopes are handed out
                 // below.  Loads use it to rescope restored fresh symbols into
                 // the current schedule; stores write scope-canonical entries.
-                let run_scopes = keys
-                    .as_ref()
-                    .map(|k| ComponentScopes::from_level_keys(k).with_flight_group(flight_group));
+                let run_scopes = keys.as_ref().map(|k| ComponentScopes::from_level_keys(k));
                 let mut level_scope_base = Vec::with_capacity(levels.len());
                 let mut next_scope: u32 = 0;
                 for level in &levels {

@@ -36,12 +36,11 @@
 use crate::analysis::{BoundFact, ProcedureSummary};
 use crate::depth::DepthBound;
 use chora_expr::{ExpPoly, Monomial, Polynomial, Symbol, SymbolKind, Term};
-use chora_ir::{Fingerprint, FingerprintBuilder};
+use chora_ir::Fingerprint;
 use chora_logic::{Atom, AtomKind, Polyhedron, TransitionFormula};
 use chora_numeric::BigRational;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format tag and version of the cache entry layout.  Bump the version on
 /// any change to the encoding; readers ignore entries from other versions.
@@ -67,34 +66,6 @@ pub trait ScopeResolver: Sync {
     fn scope_of(&self, key: &Fingerprint) -> Option<u32>;
     /// The key of the component that owns `scope` in this run.
     fn key_of(&self, scope: u32) -> Option<Fingerprint>;
-
-    /// The single-flight group of the analysis run behind this resolver.
-    ///
-    /// All store probes of one driver batch share a nonzero group (see
-    /// [`next_flight_group`]); a `SingleFlight` store never blocks a probe
-    /// on a lease held by the *same* group, because the leaseholder's
-    /// result is only published at the batch's fold — waiting on a sibling
-    /// task would stall until the wait timed out.  Group `0` (the default)
-    /// means "no group": always eligible to wait.
-    fn flight_group(&self) -> u64 {
-        0
-    }
-
-    /// A content identity for the *source program* behind this run, stable
-    /// across machines (a digest of all component keys).  Remote stores
-    /// attach it to GET/PUT traffic so a summary server can count hits
-    /// whose key was first published by a different program — the
-    /// cross-program dedup the content-only keys enable.
-    fn source_tag(&self) -> Option<Fingerprint> {
-        None
-    }
-}
-
-/// Hands out process-unique nonzero single-flight groups, one per driver
-/// batch (see [`ScopeResolver::flight_group`]).
-pub fn next_flight_group() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// A resolver that knows no scopes at all.  Sufficient for summaries that
@@ -120,17 +91,12 @@ impl ScopeResolver for NullScopes {
 pub struct ComponentScopes {
     by_scope: Vec<Fingerprint>,
     by_key: HashMap<Fingerprint, u32>,
-    flight_group: u64,
-    source_tag: Option<Fingerprint>,
 }
 
 impl ComponentScopes {
     /// Builds the assignment from per-level component keys (the output of
     /// [`chora_ir::fingerprint::level_keys`]), flattened in level order —
-    /// exactly the order in which the driver hands out scopes.  Also
-    /// derives the run's [`source tag`](ScopeResolver::source_tag): a
-    /// digest of every component key, i.e. a content identity of the whole
-    /// program.
+    /// exactly the order in which the driver hands out scopes.
     pub fn from_level_keys(levels: &[Vec<Fingerprint>]) -> ComponentScopes {
         let by_scope: Vec<Fingerprint> = levels.iter().flatten().copied().collect();
         let by_key = by_scope
@@ -138,23 +104,7 @@ impl ComponentScopes {
             .enumerate()
             .map(|(scope, key)| (*key, scope as u32))
             .collect();
-        let mut tag = FingerprintBuilder::new();
-        tag.write_str("chora-source-tag-v1");
-        for key in &by_scope {
-            tag.write_fingerprint(*key);
-        }
-        ComponentScopes {
-            by_scope,
-            by_key,
-            flight_group: 0,
-            source_tag: Some(tag.finish()),
-        }
-    }
-
-    /// Stamps the resolver with a driver batch's single-flight group.
-    pub fn with_flight_group(mut self, group: u64) -> ComponentScopes {
-        self.flight_group = group;
-        self
+        ComponentScopes { by_scope, by_key }
     }
 }
 
@@ -165,14 +115,6 @@ impl ScopeResolver for ComponentScopes {
 
     fn key_of(&self, scope: u32) -> Option<Fingerprint> {
         self.by_scope.get(scope as usize).copied()
-    }
-
-    fn flight_group(&self) -> u64 {
-        self.flight_group
-    }
-
-    fn source_tag(&self) -> Option<Fingerprint> {
-        self.source_tag
     }
 }
 
@@ -952,24 +894,6 @@ pub fn decode_entry(
         .iter()
         .map(|s| decode_summary(s, &dec))
         .collect()
-}
-
-/// Checks a cache entry's *envelope* — format tag, version, and embedded
-/// key — and returns the key, without decoding (or rescoping) the
-/// summaries themselves.  This is the plausibility gate a summary server
-/// applies to `PUT /v1/summaries/{key}` bodies and to entries it serves:
-/// full decoding needs the *consumer's* scope assignment, which only the
-/// analyzing peer has.
-pub fn entry_key(text: &str) -> Option<Fingerprint> {
-    let doc = Parser::parse(text)?;
-    if doc.field("format")?.as_str()? != CACHE_FORMAT {
-        return None;
-    }
-    if doc.field("version")?.as_int()? != CACHE_VERSION {
-        return None;
-    }
-    doc.field("summaries")?.as_arr()?;
-    Fingerprint::from_hex(doc.field("key")?.as_str()?)
 }
 
 #[cfg(test)]

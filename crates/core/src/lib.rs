@@ -62,11 +62,10 @@ pub use analysis::{
     ProcedureSummary,
 };
 pub use baseline::BaselineAnalyzer;
-pub use cache::{entry_key, next_flight_group, ComponentScopes, NullScopes, ScopeResolver};
+pub use cache::{ComponentScopes, NullScopes, ScopeResolver};
 pub use complexity::ComplexityClass;
 pub use depth::DepthBound;
 pub use store::{
-    total_corrupt_evictions, total_gc_evictions, CacheStats, DiskStore, DiskTier, FlightCounters,
-    Layered, MemTier, MemoryStore, RemoteConfig, RemoteStore, SingleFlight, StoreStats, StoreTier,
-    SummaryStore, TierCounters, TierHit, TieredConfig, TieredStore,
+    total_corrupt_evictions, total_gc_evictions, CacheStats, DiskStore, DiskTier, MemTier,
+    MemoryStore, StoreStats, SummaryStore, TierCounters, TieredConfig, TieredStore,
 };

@@ -3,7 +3,7 @@
 
 use super::{StoreStats, SummaryStore};
 use crate::analysis::ProcedureSummary;
-use crate::cache::{decode_entry, encode_entry, entry_key, ScopeResolver, CACHE_VERSION};
+use crate::cache::{decode_entry, encode_entry, ScopeResolver, CACHE_VERSION};
 use chora_ir::Fingerprint;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +48,7 @@ impl DiskStore {
     /// read them, and leaving them would let the cache silently exceed its
     /// byte budget forever — `disk_bytes` and [`DiskStore::gc`] only scan
     /// the current version's directory.  Newer versions' directories are
-    /// left alone so a mixed-version fleet sharing one root does not
+    /// left alone so mixed-version processes sharing one root do not
     /// thrash each other's caches.
     pub fn open(root: impl AsRef<Path>) -> std::io::Result<DiskStore> {
         let root = root.as_ref();
@@ -89,8 +89,8 @@ impl DiskStore {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// How many entries this handle has removed for *space or age* reasons
-    /// (explicit removals and [`DiskStore::gc`] passes).
+    /// How many entries this handle's [`DiskStore::gc`] passes have removed
+    /// for *space or age* reasons.
     pub fn gc_evictions(&self) -> u64 {
         self.gc_removed.load(Ordering::Relaxed)
     }
@@ -135,16 +135,6 @@ impl DiskStore {
         }
     }
 
-    /// The raw serialized entry under `key`, gated only on its *envelope*
-    /// (format tag, version, embedded key) — no summary decoding, which
-    /// would need the consuming run's scope assignment.  This is what a
-    /// summary server hands to `GET /v1/summaries/{key}`; the analyzing
-    /// peer performs the full decode-and-rescope on its side.
-    pub fn load_text(&self, key: &Fingerprint) -> Option<String> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        (entry_key(&text) == Some(*key)).then_some(text)
-    }
-
     /// Writes an already-encoded entry (temp file + rename, best-effort).
     pub fn store_encoded(&self, key: &Fingerprint, encoded: &str) {
         let path = self.entry_path(key);
@@ -169,19 +159,23 @@ impl DiskStore {
         }
     }
 
-    /// Removes the entry under `key` (a GC deletion, not a corruption
-    /// eviction).  Racing readers see a miss; racing writers re-create it.
-    pub fn remove(&self, key: &Fingerprint) {
+    /// Removes the entry under `key`, returning whether a file was
+    /// deleted.  The bytes count toward [`DiskStore::removed_bytes`]; the
+    /// caller counts the removal under its own reason (the disk tier's age
+    /// expiry), so it is neither a corruption eviction nor a GC removal.
+    /// Racing readers see a miss; racing writers re-create it.
+    pub fn remove(&self, key: &Fingerprint) -> bool {
         let path = self.entry_path(key);
         let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        if std::fs::remove_file(path).is_ok() {
-            self.gc_removed.fetch_add(1, Ordering::Relaxed);
+        let removed = std::fs::remove_file(path).is_ok();
+        if removed {
             self.removed_bytes.fetch_add(size, Ordering::Relaxed);
         }
+        removed
     }
 
-    /// Total bytes this store has deleted — corruption evictions, explicit
-    /// removals, and GC passes combined (the operational "how much has the
+    /// Total bytes this store has deleted — corruption evictions, removals,
+    /// and GC passes combined (the operational "how much has the
     /// cache churned" number surfaced by `/v1/stats`).
     pub fn removed_bytes(&self) -> u64 {
         self.removed_bytes.load(Ordering::Relaxed)

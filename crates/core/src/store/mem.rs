@@ -1,8 +1,8 @@
 //! The in-memory tier: a sharded, byte-capped, LRU-evicting map of
 //! validated serialized entries.
 
-use super::layered::{StoreTier, TierHit};
 use super::{load_histogram, StoreStats};
+use crate::analysis::ProcedureSummary;
 use crate::cache::{decode_entry, ScopeResolver};
 use chora_ir::Fingerprint;
 use chora_telemetry::metrics::Histogram;
@@ -37,7 +37,7 @@ struct Shard {
 ///   backdate the clock) are dropped on sight.
 /// * A hit decodes under the shard lock; an entry that no longer decodes
 ///   (memory was scribbled on) is evicted as corrupt and the probe falls
-///   through to farther tiers.
+///   through to the disk tier.
 pub struct MemTier {
     shards: Vec<Mutex<Shard>>,
     cap_bytes: Option<u64>,
@@ -145,10 +145,14 @@ impl MemTier {
             }
         }
     }
-}
 
-impl StoreTier for MemTier {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<TierHit> {
+    /// Probes the tier: the decoded summaries under `key`, if present,
+    /// unexpired, and intact.
+    pub(crate) fn load(
+        &self,
+        key: &Fingerprint,
+        scopes: &dyn ScopeResolver,
+    ) -> Option<Vec<ProcedureSummary>> {
         let started = Instant::now();
         let result = (|| {
             let mut shard = self.shard(key).lock().expect("mem tier shard lock");
@@ -168,10 +172,7 @@ impl StoreTier for MemTier {
             match decode_entry(&entry.text, key, scopes) {
                 Some(summaries) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(TierHit {
-                        summaries,
-                        promote: None,
-                    })
+                    Some(summaries)
                 }
                 None => {
                     // Can only happen if memory was scribbled on — treat
@@ -191,15 +192,9 @@ impl StoreTier for MemTier {
 
     /// Inserts validated serialized bytes, evicting least-recently-used
     /// entries until the shard fits its cap again.  `age` backdates the
-    /// expiry clock for entries promoted from farther tiers, so `max_age`
+    /// expiry clock for entries promoted from the disk tier, so `max_age`
     /// bounds an entry's *true* age, not its tier residency.
-    fn store(
-        &self,
-        key: &Fingerprint,
-        text: &str,
-        age: Option<Duration>,
-        _scopes: &dyn ScopeResolver,
-    ) {
+    pub(crate) fn store(&self, key: &Fingerprint, text: &str, age: Option<Duration>) {
         let size = text.len() as u64;
         if self.shard_cap().is_some_and(|cap| size > cap) {
             return;
@@ -240,27 +235,10 @@ impl StoreTier for MemTier {
         }
     }
 
-    fn load_text(&self, key: &Fingerprint) -> Option<String> {
-        let mut shard = self.shard(key).lock().expect("mem tier shard lock");
-        let expired = {
-            let entry = shard.map.get(key)?;
-            self.max_age
-                .is_some_and(|limit| entry.inserted.elapsed() > limit)
-        };
-        if expired {
-            self.evict(&mut shard, key, &self.age_evictions);
-            return None;
-        }
-        shard.tick += 1;
-        let stamp = shard.tick;
-        let entry = shard.map.get_mut(key).expect("entry checked above");
-        entry.last_used = stamp;
-        Some(entry.text.clone())
-    }
-
-    fn append_stats(&self, out: &mut Vec<StoreStats>) {
+    /// This tier's statistics snapshot.
+    pub(crate) fn stats(&self) -> StoreStats {
         let (entries, bytes) = self.usage();
-        out.push(StoreStats {
+        StoreStats {
             hits: self.hits(),
             misses: self.misses.load(Ordering::Relaxed),
             stores: self.stored.load(Ordering::Relaxed),
@@ -270,6 +248,6 @@ impl StoreTier for MemTier {
             entries,
             bytes,
             ..StoreStats::named("memory")
-        });
+        }
     }
 }

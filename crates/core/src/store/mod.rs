@@ -8,30 +8,17 @@
 //!
 //! # Architecture
 //!
-//! Stores come in two shapes.  [`SummaryStore`] is the driver-facing trait
-//! (decoded summaries in, decoded summaries out); [`StoreTier`] is the
-//! *composable* layer underneath it — one cache level that moves validated
-//! serialized entries.  Tiers compose with the generic [`Layered`]
-//! combinator, which probes its near tier first, falls back to the far
-//! tier, and applies explicit **promote-on-hit** (far hits are copied into
-//! the near tier, with their true age) and **write-through** (stores land
-//! in every tier) policies.  Each tier reports a uniform [`StoreStats`]
-//! snapshot.
-//!
-//! The concrete tiers:
+//! [`SummaryStore`] is the driver-facing trait: decoded summaries in,
+//! decoded summaries out.  [`TieredStore`] is the standard implementation,
+//! two tiers of validated serialized entries:
 //!
 //! * [`MemTier`] — a sharded, byte-capped, LRU-evicting in-memory map.
 //! * [`DiskTier`] — a [`DiskStore`] (one file per key under a versioned
-//!   cache directory) plus age expiry.
-//! * [`RemoteStore`] — a network tier speaking `GET`/`PUT
-//!   /v1/summaries/{keyhex}` against one or more `chora serve` daemons
-//!   (chosen per key by rendezvous hashing), with a per-target circuit
-//!   breaker so a dead peer degrades to the local tiers.
+//!   cache directory) plus age expiry; optional.
 //!
-//! [`TieredStore`] is the standard composition — L1 memory over optional
-//! L2 disk over optional L3 remote — and [`SingleFlight`] wraps any
-//! [`SummaryStore`] to coalesce concurrent misses on the same key, so a
-//! thundering herd on a cold cone computes it once.
+//! A load probes memory, then disk, and promotes a disk hit into memory
+//! with its true age; a store writes through to both.  Each tier reports
+//! a uniform [`StoreStats`] snapshot.
 //!
 //! Simple standalone backends remain for tests and tools: [`MemoryStore`]
 //! (a plain map) and [`DiskStore`] used directly.
@@ -42,17 +29,11 @@ use chora_ir::Fingerprint;
 use std::fmt;
 
 mod disk;
-pub mod layered;
 mod mem;
-mod remote;
-mod singleflight;
 mod tiered;
 
 pub use disk::DiskStore;
-pub use layered::{Layered, StoreTier, TierHit};
 pub use mem::MemTier;
-pub use remote::{RemoteConfig, RemoteStore};
-pub use singleflight::{FlightCounters, SingleFlight};
 pub use tiered::{DiskTier, TierCounters, TieredConfig, TieredStore};
 
 /// Counters reported by a cache-backed analysis run.
@@ -92,7 +73,7 @@ impl fmt::Display for CacheStats {
 /// and delta them without knowing the store's shape.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Which tier this row describes (`"memory"`, `"disk"`, `"remote"`).
+    /// Which tier this row describes (`"memory"` or `"disk"`).
     pub tier: &'static str,
     /// Loads this tier answered.
     pub hits: u64,
@@ -112,11 +93,6 @@ pub struct StoreStats {
     pub entries: u64,
     /// Current serialized bytes held, where the tier can say cheaply.
     pub bytes: u64,
-    /// Transport or I/O failures (remote tier: dead or misbehaving peer).
-    pub errors: u64,
-    /// Probes skipped outright (remote tier: circuit breaker open because
-    /// every peer is in its failure cooldown).
-    pub skipped: u64,
 }
 
 impl StoreStats {

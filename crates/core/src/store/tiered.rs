@@ -1,14 +1,11 @@
-//! The standard store stack: memory in front of disk in front of an
-//! optional remote fleet cache, packaged behind the historical
-//! [`TieredStore`] API.
+//! The standard store stack: a memory tier in front of an optional disk
+//! tier, behind the [`TieredStore`] API.
 
 use super::disk::DiskStore;
-use super::layered::{Layered, StoreTier, TierHit};
 use super::mem::MemTier;
-use super::remote::RemoteStore;
 use super::{load_histogram, StoreStats, SummaryStore};
 use crate::analysis::ProcedureSummary;
-use crate::cache::{encode_entry, NullScopes, ScopeResolver};
+use crate::cache::{encode_entry, ScopeResolver};
 use chora_ir::Fingerprint;
 use chora_telemetry::metrics::Histogram;
 use std::path::Path;
@@ -22,7 +19,7 @@ pub struct TieredConfig {
     /// evenly across shards).  `None` = unbounded.  The same cap also
     /// bounds the disk tier during [`TieredStore::gc`].
     pub cap_bytes: Option<u64>,
-    /// Entries older than this are evicted instead of served (both local
+    /// Entries older than this are evicted instead of served (both
     /// tiers).  `None` = entries never expire.
     pub max_age: Option<Duration>,
     /// Number of independently-locked shards of the memory tier.
@@ -40,10 +37,9 @@ impl Default for TieredConfig {
     }
 }
 
-/// The disk level of a layered stack: wraps a [`DiskStore`] with the
-/// stack's age limit, so expired entries are removed on sight instead of
-/// served, and reports the entry's on-disk age upward so promotion into
-/// memory never extends a lifetime.
+/// The disk tier: wraps a [`DiskStore`] with the store's age limit, so
+/// expired entries are removed on sight instead of served, and reports the
+/// entry's on-disk age so promotion into memory never extends a lifetime.
 pub struct DiskTier {
     store: DiskStore,
     max_age: Option<Duration>,
@@ -87,22 +83,24 @@ impl DiskTier {
     pub fn age_evictions(&self) -> u64 {
         self.age_evictions.load(Ordering::Relaxed)
     }
-}
 
-impl StoreTier for DiskTier {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<TierHit> {
+    /// Probes the tier: the validated serialized entry, its decoded
+    /// summaries, and its age (see [`DiskStore::load_validated`]).  An
+    /// expired entry is deleted and counted once, as an age eviction.
+    pub(crate) fn load(
+        &self,
+        key: &Fingerprint,
+        scopes: &dyn ScopeResolver,
+    ) -> Option<(String, Vec<ProcedureSummary>, Option<Duration>)> {
         let started = Instant::now();
         let result = match self.store.load_validated(key, scopes) {
             Some((_, _, Some(age))) if self.max_age.is_some_and(|limit| age > limit) => {
-                self.store.remove(key);
-                self.age_evictions.fetch_add(1, Ordering::Relaxed);
+                if self.store.remove(key) {
+                    self.age_evictions.fetch_add(1, Ordering::Relaxed);
+                }
                 None
             }
-            Some((text, summaries, age)) => Some(TierHit {
-                summaries,
-                promote: Some((text, age)),
-            }),
-            None => None,
+            hit => hit,
         };
         match &result {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -113,40 +111,29 @@ impl StoreTier for DiskTier {
         result
     }
 
-    fn store(
-        &self,
-        key: &Fingerprint,
-        text: &str,
-        _age: Option<Duration>,
-        _scopes: &dyn ScopeResolver,
-    ) {
+    /// Writes an already-encoded entry.
+    pub(crate) fn store_encoded(&self, key: &Fingerprint, text: &str) {
         self.store.store_encoded(key, text);
         self.stored.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn load_text(&self, key: &Fingerprint) -> Option<String> {
-        self.store.load_text(key)
-    }
-
-    fn append_stats(&self, out: &mut Vec<StoreStats>) {
-        out.push(StoreStats {
+    /// This tier's statistics snapshot.
+    pub(crate) fn stats(&self) -> StoreStats {
+        StoreStats {
             hits: self.hits(),
             misses: self.misses(),
             stores: self.stored.load(Ordering::Relaxed),
             corrupt_evictions: self.store.evictions(),
-            // Age expiries both remove the file (counted by the store's GC
-            // counter) and are counted here — kept additive so the
-            // cross-tier total matches the historical trait-method total.
             gc_evictions: self.age_evictions() + self.store.gc_evictions(),
             evicted_bytes: self.store.removed_bytes(),
             bytes: self.store.disk_bytes(),
             ..StoreStats::named("disk")
-        });
+        }
     }
 }
 
 /// Cumulative counters and current gauges of a [`TieredStore`], as one
-/// flat snapshot (the shape `/v1/stats` has always served).
+/// flat snapshot (the shape `/v1/stats` serves).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TierCounters {
     /// Loads served by the in-memory tier (zero filesystem work).
@@ -155,7 +142,7 @@ pub struct TierCounters {
     pub disk_hits: u64,
     /// Loads answered by no tier.
     pub misses: u64,
-    /// Entries written (to memory, and through to farther tiers).
+    /// Entries written (to memory, and through to disk).
     pub stores: u64,
     /// Times the disk tier was consulted at all (memory misses).
     pub disk_probes: u64,
@@ -163,13 +150,12 @@ pub struct TierCounters {
     pub lru_evictions: u64,
     /// Entries evicted (memory or disk) because they outlived `max_age`.
     pub age_evictions: u64,
-    /// Entries discarded as corrupt (any tier).
+    /// Entries discarded as corrupt (either tier).
     pub corrupt_evictions: u64,
     /// Disk entries removed by [`TieredStore::gc`] passes.
     pub disk_gc_removed: u64,
-    /// Total bytes removed from either local tier, for any reason (LRU or
-    /// age pressure, corruption, GC) — the churn number `/v1/stats`
-    /// reports.
+    /// Total bytes removed from either tier, for any reason (LRU or age
+    /// pressure, corruption, GC) — the churn number `/v1/stats` reports.
     pub evicted_bytes: u64,
     /// Current number of entries in the memory tier.
     pub mem_entries: u64,
@@ -177,17 +163,16 @@ pub struct TierCounters {
     pub mem_bytes: u64,
 }
 
-/// The standard layered store: L1 memory, L2 disk (optional), L3 remote
-/// fleet cache (optional), composed from [`Layered`] with promote-on-hit
-/// and write-through on at every level.
+/// The standard store: a [`MemTier`] in front of an optional [`DiskTier`].
 ///
-/// This type is a thin adapter: the tier mechanics live in [`MemTier`],
-/// [`DiskTier`], and [`RemoteStore`]; `TieredStore` encodes/decodes at the
-/// [`SummaryStore`] boundary, keeps the historical counter snapshot
-/// ([`TierCounters`]), and exposes the local-only raw-entry accessors a
-/// summary server needs.
+/// A load probes memory, then disk; a disk hit is promoted into memory
+/// with its true age, so promotion never extends a lifetime.  A store
+/// writes through to both tiers.  `TieredStore` encodes and decodes at the
+/// [`SummaryStore`] boundary and keeps the flat counter snapshot
+/// ([`TierCounters`]).
 pub struct TieredStore {
-    tiers: Layered<MemTier, Layered<Option<DiskTier>, Option<RemoteStore>>>,
+    mem: MemTier,
+    disk: Option<DiskTier>,
     config: TieredConfig,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -196,27 +181,9 @@ pub struct TieredStore {
 impl TieredStore {
     /// A tiered store over an already-open disk tier (`None` = memory only).
     pub fn new(disk: Option<DiskStore>, config: TieredConfig) -> TieredStore {
-        TieredStore::build(disk, None, config)
-    }
-
-    /// A tiered store with a remote fleet cache behind memory and disk.
-    pub fn with_remote(
-        disk: Option<DiskStore>,
-        remote: RemoteStore,
-        config: TieredConfig,
-    ) -> TieredStore {
-        TieredStore::build(disk, Some(remote), config)
-    }
-
-    fn build(
-        disk: Option<DiskStore>,
-        remote: Option<RemoteStore>,
-        config: TieredConfig,
-    ) -> TieredStore {
-        let mem = MemTier::new(config.shards, config.cap_bytes, config.max_age);
-        let disk = disk.map(|d| DiskTier::new(d, config.max_age));
         TieredStore {
-            tiers: Layered::new(mem, Layered::new(disk, remote)),
+            mem: MemTier::new(config.shards, config.cap_bytes, config.max_age),
+            disk: disk.map(|d| DiskTier::new(d, config.max_age)),
             config,
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -230,12 +197,7 @@ impl TieredStore {
 
     /// The disk tier's backing store, when one is configured.
     pub fn disk(&self) -> Option<&DiskStore> {
-        self.tiers.far.near.as_ref().map(DiskTier::store)
-    }
-
-    /// The remote tier, when one is configured.
-    pub fn remote(&self) -> Option<&RemoteStore> {
-        self.tiers.far.far.as_ref()
+        self.disk.as_ref().map(DiskTier::store)
     }
 
     /// The sizing/expiry configuration this store resolved to.
@@ -243,29 +205,10 @@ impl TieredStore {
         self.config
     }
 
-    /// The raw serialized entry under `key` from the *local* tiers only
-    /// (memory, then disk) — what this daemon serves to peers asking
-    /// `GET /v1/summaries/{key}`.  The remote tier is structurally mute
-    /// here ([`RemoteStore`] never answers `load_text`), so a ring of
-    /// daemons pointing at each other cannot forward a request in a loop.
-    pub fn load_local_text(&self, key: &Fingerprint) -> Option<String> {
-        self.tiers.load_text(key)
-    }
-
-    /// Adopts an already-encoded entry into the *local* tiers (memory and
-    /// disk, never back out to the remote) — what `PUT /v1/summaries/{key}`
-    /// does with an entry uploaded by a peer.  The caller has already
-    /// validated the envelope against `key`.
-    pub fn store_local_text(&self, key: &Fingerprint, text: &str) {
-        self.tiers.near.store(key, text, None, &NullScopes);
-        self.tiers.far.near.store(key, text, None, &NullScopes);
-    }
-
     /// Snapshot of every counter (cumulative) and gauge (current).
     pub fn counters(&self) -> TierCounters {
-        let mem = &self.tiers.near;
-        let disk = self.tiers.far.near.as_ref();
-        let remote = self.tiers.far.far.as_ref();
+        let mem = &self.mem;
+        let disk = self.disk.as_ref();
         let (mem_entries, mem_bytes) = mem.usage();
         TierCounters {
             mem_hits: mem.hits(),
@@ -275,9 +218,7 @@ impl TieredStore {
             disk_probes: disk.map_or(0, |d| d.hits() + d.misses()),
             lru_evictions: mem.lru_evictions(),
             age_evictions: mem.age_evictions() + disk.map_or(0, DiskTier::age_evictions),
-            corrupt_evictions: mem.corrupt_evictions()
-                + disk.map_or(0, |d| d.store().evictions())
-                + remote.map_or(0, RemoteStore::corrupt),
+            corrupt_evictions: mem.corrupt_evictions() + disk.map_or(0, |d| d.store().evictions()),
             disk_gc_removed: disk.map_or(0, |d| d.store().gc_evictions()),
             evicted_bytes: mem.evicted_bytes() + disk.map_or(0, |d| d.store().removed_bytes()),
             mem_entries,
@@ -285,11 +226,10 @@ impl TieredStore {
         }
     }
 
-    /// One garbage-collection pass over the local tiers: drops expired
-    /// memory entries and runs [`DiskStore::gc`] with this store's age and
-    /// byte limits.  The remote tier is its owner's to collect.
+    /// One garbage-collection pass: drops expired memory entries and runs
+    /// [`DiskStore::gc`] with this store's age and byte limits.
     pub fn gc(&self) {
-        self.tiers.near.sweep_expired();
+        self.mem.sweep_expired();
         if let Some(disk) = self.disk() {
             disk.gc(self.config.max_age, self.config.cap_bytes);
         }
@@ -298,8 +238,14 @@ impl TieredStore {
 
 impl SummaryStore for TieredStore {
     fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>> {
-        match self.tiers.load(key, scopes) {
-            Some(hit) => Some(hit.summaries),
+        if let Some(summaries) = self.mem.load(key, scopes) {
+            return Some(summaries);
+        }
+        match self.disk.as_ref().and_then(|d| d.load(key, scopes)) {
+            Some((text, summaries, age)) => {
+                self.mem.store(key, &text, age);
+                Some(summaries)
+            }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -311,14 +257,17 @@ impl SummaryStore for TieredStore {
         let Some(encoded) = encode_entry(key, summaries, scopes) else {
             return;
         };
-        self.tiers.store(key, &encoded, None, scopes);
+        self.mem.store(key, &encoded, None);
+        if let Some(disk) = &self.disk {
+            disk.store_encoded(key, &encoded);
+        }
         self.stores.fetch_add(1, Ordering::Relaxed);
     }
 
     fn stats(&self) -> Vec<StoreStats> {
-        let mut out = Vec::new();
-        self.tiers.append_stats(&mut out);
-        out
+        std::iter::once(self.mem.stats())
+            .chain(self.disk.as_ref().map(DiskTier::stats))
+            .collect()
     }
 }
 
@@ -468,33 +417,22 @@ mod tests {
             store.load(&key, &NullScopes).is_none(),
             "expired entry must not hit"
         );
+        // The entry had one copy per tier, and each copy's expiry counts
+        // exactly once: as an age eviction, never also as a GC removal.
         let c = store.counters();
-        assert!(c.age_evictions >= 1, "expiry must be counted: {c:?}");
+        assert_eq!(c.age_evictions, 2, "one per tier: {c:?}");
+        assert_eq!(c.disk_gc_removed, 0, "expiry on load is not a GC pass");
         assert_eq!(c.corrupt_evictions, 0);
+        let disk = &store.stats()[1];
+        assert_eq!((disk.tier, disk.gc_evictions), ("disk", 1));
         // gc() sweeps the disk tier too: after it, the directory is empty.
         store.store(&key, &[summary("f")], &NullScopes);
         std::thread::sleep(Duration::from_millis(60));
         store.gc();
         assert_eq!(store.disk().expect("disk tier").disk_bytes(), 0);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn local_text_accessors_skip_the_remote_tier() {
-        let root = temp_dir("tiered-localtext");
-        let store = TieredStore::open(&root, TieredConfig::default()).expect("open");
-        let key = Fingerprint(41);
-        assert!(store.load_local_text(&key).is_none());
-        store.store(&key, &[summary("f")], &NullScopes);
-        let text = store.load_local_text(&key).expect("stored entry");
-        assert_eq!(crate::cache::entry_key(&text), Some(key));
-        // A second store adopts the raw entry without decoding it.
-        let other = TieredStore::new(None, TieredConfig::default());
-        other.store_local_text(&key, &text);
-        assert_eq!(other.load(&key, &NullScopes).expect("adopted")[0].name, "f");
-        // Adoption is not an analysis-facing store: the counter that
-        // feeds CacheStats must not move.
-        assert_eq!(other.counters().stores, 0);
+        let c = store.counters();
+        assert_eq!(c.age_evictions, 3, "the memory sweep expired one copy");
+        assert_eq!(c.disk_gc_removed, 1, "the disk pass removed the other");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -7,45 +7,23 @@
 //! request cap).
 
 use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// How long the client waits for the server to produce a response (analyses
-/// of large programs are allowed to take a while).
+/// of large programs are allowed to take a while).  Also bounds each write.
 pub const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Connection and retry policy of a [`Client`].
-#[derive(Clone, Copy, Debug)]
-pub struct ClientConfig {
-    /// Bound on establishing the TCP connection.  `None` = the OS default
-    /// (minutes) — fine for a CLI talking to its own daemon, far too long
-    /// for a cache tier probing a possibly-dead peer.
-    pub connect_timeout: Option<Duration>,
-    /// Bound on each read/write once connected.
-    pub io_timeout: Duration,
-    /// Pause before the single stale-connection retry, giving a restarting
-    /// server a beat to come back before the request is abandoned.
-    pub retry_backoff: Duration,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            connect_timeout: None,
-            io_timeout: CLIENT_TIMEOUT,
-            retry_backoff: Duration::from_millis(25),
-        }
-    }
-}
+/// Pause before the single stale-connection retry, giving a restarting
+/// server a beat to come back before the request is abandoned.
+const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Whether a request may be transparently resent after a connection-level
-/// failure.  `GET`s never mutate.  Summary uploads (`PUT
-/// /v1/summaries/{key}`) are content-addressed — replaying one writes the
-/// same bytes under the same key — so they are idempotent too.  Everything
-/// else (`POST /v1/analyze` runs an analysis, `POST /v1/shutdown` stops the
-/// daemon) must reach the server at most once.
-fn is_idempotent(method: &str, path_and_query: &str) -> bool {
-    method == "GET" || (method == "PUT" && path_and_query.starts_with("/v1/summaries/"))
+/// failure.  Only `GET`s: they never mutate.  Everything else (`POST
+/// /v1/analyze` runs an analysis, `POST /v1/shutdown` stops the daemon)
+/// must reach the server at most once.
+fn is_idempotent(method: &str) -> bool {
+    method == "GET"
 }
 
 /// A keep-alive HTTP client bound to one daemon address.
@@ -57,7 +35,6 @@ fn is_idempotent(method: &str, path_and_query: &str) -> bool {
 /// [`close`]: Client::close
 pub struct Client {
     addr: String,
-    config: ClientConfig,
     stream: Option<TcpStream>,
     /// Bytes read past the previous response's body (none in practice —
     /// the client never pipelines — but framing stays correct if a server
@@ -69,14 +46,8 @@ impl Client {
     /// A client for the daemon at `addr` (e.g. `127.0.0.1:7557`).  No
     /// connection is made until the first request.
     pub fn new(addr: impl Into<String>) -> Client {
-        Client::with_config(addr, ClientConfig::default())
-    }
-
-    /// A client with explicit connection and retry policy.
-    pub fn with_config(addr: impl Into<String>, config: ClientConfig) -> Client {
         Client {
             addr: addr.into(),
-            config,
             stream: None,
             leftover: Vec::new(),
         }
@@ -100,11 +71,6 @@ impl Client {
         self.send("POST", path_and_query, Some(body))
     }
 
-    /// `PUT` with a body; returns `(status, body)`.
-    pub fn put(&mut self, path_and_query: &str, body: &str) -> std::io::Result<(u16, String)> {
-        self.send("PUT", path_and_query, Some(body))
-    }
-
     /// Closes the connection (the next request reconnects).
     pub fn close(&mut self) {
         self.stream = None;
@@ -114,10 +80,10 @@ impl Client {
     /// Sends one request on the (re)used connection.  When a *reused*
     /// connection fails before any response byte arrives — the server
     /// closed it between requests (idle timeout, request cap) — an
-    /// *idempotent* request (`GET`, or a content-addressed summary `PUT`)
-    /// is retried once on a fresh connection after a short backoff.
-    /// Non-idempotent requests are never resent: a `POST` whose connection
-    /// died mid-flight may already have run on the server.
+    /// *idempotent* request (a `GET`) is retried once on a fresh connection
+    /// after a short backoff.  Non-idempotent requests are never resent: a
+    /// `POST` whose connection died mid-flight may already have run on the
+    /// server.
     pub fn send(
         &mut self,
         method: &str,
@@ -126,31 +92,12 @@ impl Client {
     ) -> std::io::Result<(u16, String)> {
         let reused = self.stream.is_some();
         match self.try_send(method, path_and_query, body) {
-            Err(e)
-                if reused && is_stale_connection(&e) && is_idempotent(method, path_and_query) =>
-            {
+            Err(e) if reused && is_stale_connection(&e) && is_idempotent(method) => {
                 self.close();
-                if !self.config.retry_backoff.is_zero() {
-                    std::thread::sleep(self.config.retry_backoff);
-                }
+                std::thread::sleep(RETRY_BACKOFF);
                 self.try_send(method, path_and_query, body)
             }
             other => other,
-        }
-    }
-
-    fn connect(&self) -> std::io::Result<TcpStream> {
-        match self.config.connect_timeout {
-            None => TcpStream::connect(&self.addr),
-            Some(limit) => {
-                let target = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!("`{}` resolved to no address", self.addr),
-                    )
-                })?;
-                TcpStream::connect_timeout(&target, limit)
-            }
         }
     }
 
@@ -161,9 +108,9 @@ impl Client {
         body: Option<&str>,
     ) -> std::io::Result<(u16, String)> {
         if self.stream.is_none() {
-            let stream = self.connect()?;
-            stream.set_read_timeout(Some(self.config.io_timeout))?;
-            stream.set_write_timeout(Some(self.config.io_timeout))?;
+            let stream = TcpStream::connect(&self.addr)?;
+            stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
+            stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
             // Nagle would hold small writes until the previous segment is
             // ACKed; combined with delayed ACKs that stalls every
             // request/response turn on a keep-alive connection by ~40ms.
@@ -411,14 +358,11 @@ mod tests {
     }
 
     #[test]
-    fn only_gets_and_summary_puts_are_retry_safe() {
-        assert!(is_idempotent("GET", "/v1/stats"));
-        assert!(is_idempotent("GET", "/v1/summaries/00ff"));
-        assert!(is_idempotent("PUT", "/v1/summaries/00ff?src=aa"));
-        assert!(!is_idempotent("PUT", "/v1/analyze"));
-        assert!(!is_idempotent("POST", "/v1/analyze"));
-        assert!(!is_idempotent("POST", "/v1/shutdown"));
-        assert!(!is_idempotent("POST", "/v1/summaries/00ff"));
+    fn only_gets_are_retry_safe() {
+        assert!(is_idempotent("GET"));
+        assert!(!is_idempotent("PUT"));
+        assert!(!is_idempotent("POST"));
+        assert!(!is_idempotent("DELETE"));
     }
 
     #[test]

@@ -91,23 +91,6 @@ pub trait AnalysisBackend: Send + Sync + 'static {
         Err("this backend does not support /v1/batch".to_string())
     }
 
-    /// `GET /v1/summaries/{key}` — the raw serialized cache entry under
-    /// the hex component key, from the backend's *local* store only.
-    /// `Ok(None)` is a clean 404 (not cached here); `Err` is a 400
-    /// (malformed key).  `src` is the requesting run's source-program
-    /// fingerprint, used for cross-program reuse accounting.  The default
-    /// declines, so minimal backends need not carry a store.
-    fn summary_get(&self, _keyhex: &str, _src: Option<&str>) -> Result<Option<String>, String> {
-        Err("this backend does not serve summaries".to_string())
-    }
-
-    /// `PUT /v1/summaries/{key}` — a peer publishing an entry into the
-    /// backend's local store.  Implementations must validate the entry's
-    /// envelope against `keyhex` before adopting it.
-    fn summary_put(&self, _keyhex: &str, _src: Option<&str>, _entry: &str) -> Result<(), String> {
-        Err("this backend does not accept summaries".to_string())
-    }
-
     /// Name/value pairs rendered under `"cache"` in `/v1/stats`.
     fn cache_counters(&self) -> Vec<(&'static str, u64)>;
 

@@ -26,24 +26,7 @@ pub enum Endpoint {
     Metrics,
     /// `POST /v1/shutdown` — graceful drain-and-exit.
     Shutdown,
-    /// `GET /v1/summaries/{key}` — the raw cache entry under a component
-    /// key, served from this daemon's local store to fleet peers using it
-    /// as their remote cache tier.
-    SummaryGet,
-    /// `PUT /v1/summaries/{key}` — a peer publishing a cache entry into
-    /// this daemon's local store.
-    SummaryPut,
 }
-
-/// The wildcard path the summary routes are registered under: requests
-/// carry a real key (`/v1/summaries/<hex>`), but the table row — and the
-/// per-endpoint request metrics derived from it — use one fixed label, so
-/// metric cardinality stays bounded no matter how many keys a fleet asks
-/// for.
-pub const SUMMARY_PATH: &str = "/v1/summaries/{key}";
-
-/// The prefix that maps a request path onto [`SUMMARY_PATH`].
-const SUMMARY_PREFIX: &str = "/v1/summaries/";
 
 /// Everything a handler may touch: the injected analysis backend, the
 /// request accounting, and the server's shutdown flag.
@@ -68,7 +51,7 @@ pub struct Route {
 /// The endpoint table.  Dispatch, `Endpoint::{path,method,all}`, the 404
 /// endpoint listing, and the `Allow` header of 405s are all derived from
 /// these rows.
-pub static ROUTES: [Route; 9] = [
+pub static ROUTES: [Route; 7] = [
     Route {
         method: "POST",
         path: "/v1/analyze",
@@ -111,18 +94,6 @@ pub static ROUTES: [Route; 9] = [
         endpoint: Endpoint::Shutdown,
         handler: shutdown,
     },
-    Route {
-        method: "GET",
-        path: SUMMARY_PATH,
-        endpoint: Endpoint::SummaryGet,
-        handler: summary_get,
-    },
-    Route {
-        method: "PUT",
-        path: SUMMARY_PATH,
-        endpoint: Endpoint::SummaryPut,
-        handler: summary_put,
-    },
 ];
 
 impl Endpoint {
@@ -158,16 +129,6 @@ impl Endpoint {
 /// 404/405 JSON error response (the 405 carries an `Allow` header built
 /// from the rows sharing the path).
 pub fn route(method: &str, path: &str) -> Result<&'static Route, Response> {
-    // A non-empty key under the summaries prefix routes onto the wildcard
-    // row (the handler re-extracts the key from the request path).
-    let path = if path
-        .strip_prefix(SUMMARY_PREFIX)
-        .is_some_and(|key| !key.is_empty())
-    {
-        SUMMARY_PATH
-    } else {
-        path
-    };
     if let Some(route) = ROUTES.iter().find(|r| r.path == path && r.method == method) {
         return Ok(route);
     }
@@ -242,31 +203,6 @@ fn batch(request: &Request, ctx: &Ctx<'_>) -> Response {
     body_endpoint(request, |body| ctx.backend.batch(&request.query, body))
 }
 
-/// The key segment of a summaries request (`/v1/summaries/<hex>` — the
-/// router only dispatches here with a non-empty segment).
-fn summary_key(request: &Request) -> &str {
-    request.path.strip_prefix(SUMMARY_PREFIX).unwrap_or("")
-}
-
-fn summary_get(request: &Request, ctx: &Ctx<'_>) -> Response {
-    match ctx
-        .backend
-        .summary_get(summary_key(request), request.query_param("src"))
-    {
-        Ok(Some(entry)) => Response::json(200, entry),
-        Ok(None) => Response::error(404, "no cached entry under this key"),
-        Err(message) => Response::error(400, &message),
-    }
-}
-
-fn summary_put(request: &Request, ctx: &Ctx<'_>) -> Response {
-    body_endpoint(request, |entry| {
-        ctx.backend
-            .summary_put(summary_key(request), request.query_param("src"), entry)
-            .map(|()| "{\"ok\": true}\n".to_string())
-    })
-}
-
 /// The shared shape of the analysis endpoints: UTF-8 body in, backend
 /// result out, errors as the uniform JSON envelope.
 fn body_endpoint(request: &Request, run: impl FnOnce(&str) -> Result<String, String>) -> Response {
@@ -304,20 +240,6 @@ mod tests {
         assert_eq!(err.status, 404);
         assert!(err.headers.is_empty());
         assert!(err.body.contains("/v1/batch"), "{}", err.body);
-    }
-
-    #[test]
-    fn summary_requests_route_onto_the_wildcard_row() {
-        let get = route("GET", "/v1/summaries/00ffee").expect("routes");
-        assert_eq!(get.endpoint, Endpoint::SummaryGet);
-        assert_eq!(get.path, SUMMARY_PATH, "metric label is the wildcard");
-        let put = route("PUT", "/v1/summaries/00ffee").expect("routes");
-        assert_eq!(put.endpoint, Endpoint::SummaryPut);
-        // Wrong method lists both verbs; the bare prefix is no endpoint.
-        let err = route("POST", "/v1/summaries/00ffee").unwrap_err();
-        assert_eq!(err.status, 405);
-        assert_eq!(err.headers, vec![("Allow", "GET, PUT".to_string())]);
-        assert_eq!(route("GET", "/v1/summaries/").unwrap_err().status, 404);
     }
 
     #[test]
