@@ -531,6 +531,7 @@ fn metrics_stats_and_traced_requests_expose_the_telemetry_surface() {
         "chora_logic_sat_queries_total",
         "chora_logic_sat_memo_hits_total",
         "chora_logic_budget_fallbacks_total",
+        "chora_logic_simplex_pivots_total",
         "chora_process_start_time_ms",
     ] {
         assert!(body.contains(needle), "missing `{needle}` in:\n{body}");

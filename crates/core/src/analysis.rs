@@ -754,10 +754,9 @@ impl Analyzer {
     /// Proves `prefix ⊨ cond` where `cond` refers to the current (post)
     /// values of the program variables.
     ///
-    /// The atoms of each goal disjunct are checked with one batched
-    /// [`Polyhedron::implies_all`] entailment (a single shared
-    /// linearization/elimination pass) instead of one Fourier–Motzkin run
-    /// per atom.
+    /// A goal disjunct holds when [`Polyhedron::implies_all`] proves every
+    /// one of its atoms: one exact simplex entailment check per atom,
+    /// answered from the batch's satisfiability memo when it repeats.
     fn prove(
         &self,
         prefix: &TransitionFormula,

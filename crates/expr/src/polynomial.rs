@@ -191,13 +191,20 @@ impl Polynomial {
         Polynomial { terms }
     }
 
-    /// Builds a polynomial from `(coefficient, monomial)` pairs.
+    /// Builds a polynomial from `(coefficient, monomial)` pairs in one
+    /// sort-and-merge pass: repeated monomials add up, zero sums drop out.
     pub fn from_terms(iter: impl IntoIterator<Item = (BigRational, Monomial)>) -> Polynomial {
-        let mut p = Polynomial::zero();
-        for (c, m) in iter {
-            p.add_term(&c, &m);
+        let mut terms: Terms = iter.into_iter().map(|(c, m)| (m, c)).collect();
+        terms.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut merged = Terms::with_capacity(terms.len());
+        for (m, c) in terms {
+            match merged.last_mut() {
+                Some((prev, acc)) if *prev == m => *acc += &c,
+                _ => merged.push((m, c)),
+            }
         }
-        p
+        merged.retain(|(_, c)| !c.is_zero());
+        Polynomial { terms: merged }
     }
 
     /// Whether this is the zero polynomial.

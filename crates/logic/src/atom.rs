@@ -101,18 +101,29 @@ impl Atom {
     /// of an equation is preserved — downstream bound extraction reads the
     /// orientation of `p = 0`, so `-p = 0` is deduped against it only inside
     /// the projection engine's hash keys, never rewritten here.
-    pub fn canonical(&self) -> Atom {
+    ///
+    /// The scale `lcm(denominators) / gcd(cleared numerators)` is found
+    /// before anything is rebuilt, so an atom already in canonical form
+    /// (the common case) comes back as it is.
+    pub fn canonical(self) -> Atom {
         if self.poly.is_constant() {
-            return self.clone();
+            return self;
         }
-        let (_, cleared) = self.poly.clear_denominators();
+        let mut lcm = BigInt::one();
+        for (_, c) in self.poly.terms() {
+            lcm = lcm.lcm(c.denom());
+        }
+        // The cleared numerator of `n/d` is `n · (lcm / d)`, an integer.
         let mut gcd = BigInt::zero();
-        for (_, c) in cleared.terms() {
-            gcd = gcd.gcd(c.numer());
+        for (_, c) in self.poly.terms() {
+            gcd = gcd.gcd(&(c.numer() * &(&lcm / c.denom())));
         }
-        let scale = BigRational::from_integer(gcd).recip();
+        let scale = BigRational::new(lcm, gcd);
+        if scale.is_one() {
+            return self;
+        }
         Atom {
-            poly: cleared.scale(&scale),
+            poly: self.poly.scale(&scale),
             kind: self.kind,
         }
     }

@@ -4,9 +4,10 @@
 //!
 //! * [`Atom`] — polynomial (in)equations `p ◇ 0`,
 //! * [`Polyhedron`] — conjunctions of atoms with exact-rational domain
-//!   operations (satisfiability, Fourier–Motzkin projection, convex-hull
-//!   join, entailment), with non-linear monomials handled by linearization
-//!   into extra dimensions as in [25, Alg. 3],
+//!   operations (satisfiability and entailment decided by a general
+//!   simplex, Fourier–Motzkin projection, convex-hull join), with
+//!   non-linear monomials handled by linearization into extra dimensions
+//!   as in [25, Alg. 3],
 //! * [`TransitionFormula`] — bounded-DNF relations between pre-state and
 //!   post-state, the representation on which procedure summaries, the
 //!   hypothetical summaries of Alg. 2, and the depth-bounding model of
@@ -14,10 +15,9 @@
 //! * [`SatMemo`] — the scoped satisfiability memo: while a [`MemoScope`]
 //!   is installed (the analyzer installs one per batch), each distinct
 //!   emptiness query, keyed by a 128-bit fingerprint of its verbatim atom
-//!   sequence, runs Fourier–Motzkin once and its repeats are answered from
-//!   the memo.  The answers are exact because emptiness is a deterministic
-//!   function of the atom sequence; outside a scope every query is decided
-//!   afresh.
+//!   sequence, runs the simplex once and its repeats are answered from
+//!   the memo.  The answers are exact because the simplex decides emptiness
+//!   exactly; outside a scope every query is decided afresh.
 //!
 //! In the original CHORA implementation these roles are played by Z3 plus the
 //! SRK/duet wedge domain; here they are built from scratch on exact rational
@@ -46,6 +46,7 @@
 mod atom;
 mod memo;
 mod polyhedron;
+mod simplex;
 pub mod stats;
 mod transition;
 

@@ -26,12 +26,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// the 128-bit content keys of the summary store.  Keys are not clones of
 /// the atoms, so an entry has a fixed size however large the query.
 ///
-/// **Exactness.**  Emptiness is a pure function of the atom sequence: the
-/// linearization, the dimension table, the greedy elimination order, and
-/// the budget fallback are all deterministic functions of the atoms, and
-/// symbols compare by process-stable ids.  A memoized verdict is therefore
-/// exactly the verdict a recomputation would produce — including on the
-/// systems where the constraint budget makes Fourier–Motzkin inexact.
+/// **Exactness.**  Emptiness is decided by the exact rational simplex,
+/// which never touches the Fourier–Motzkin constraint budget: its verdict
+/// is the true emptiness of the atoms' linear relaxation, a function of the
+/// atom *set* that no ordering, duplicate, or fallback can change.  A
+/// memoized verdict is therefore exactly the verdict a recomputation would
+/// produce.  (The key still spells out the verbatim sequence; a canonical
+/// sorted key would be equally exact, and would only hit more often.)
 ///
 /// **Scope.**  A memo is consulted only while a [`MemoScope`] guard for it
 /// is alive on the querying thread.  The analyzer creates one memo per

@@ -8,22 +8,29 @@
 //! convex-hull join (Balas' extended formulation), entailment — are carried
 //! out on the linearized view and mapped back to polynomial atoms.
 //!
-//! Emptiness is the primitive every other operation reaches: entailment
-//! ([`Polyhedron::implies_atom`], [`Polyhedron::is_subset_of`]), joins, and
-//! the sequencing and subsumption steps of transition formulas.
+//! Two engines share that view.  Emptiness, the primitive every other
+//! operation reaches — entailment ([`Polyhedron::implies_atom`],
+//! [`Polyhedron::is_subset_of`]), joins, and the sequencing and subsumption
+//! steps of transition formulas — is *decided* by the exact rational
+//! simplex of `simplex.rs`, which has no budget and never over-approximates.
+//! Fourier–Motzkin is the engine of *projection* ([`Polyhedron::project_onto`],
+//! [`Polyhedron::eliminate`], the Balas hull of [`Polyhedron::join`]), where
+//! the result is a constraint system rather than a verdict.
 //! [`Polyhedron::is_empty_set`] and the per-disjunct checks of
-//! `implies_atom` therefore go through the scoped satisfiability memo
+//! `implies_atom` go through the scoped satisfiability memo
 //! ([`crate::SatMemo`], which states the key and the exactness argument).
-//! Outside a memo scope, and on the `*_naive` oracle paths, every query
-//! runs the elimination.
+//! Outside a memo scope every query runs the simplex; the `*_naive` oracle
+//! paths keep the fixed-order Fourier–Motzkin decision, budget fallback
+//! included, as the differential baseline.
 
 use crate::atom::{Atom, AtomKind};
 use crate::stats::fm_stat;
 use chora_expr::{LinearExpr, Monomial, Polynomial, Symbol};
 use chora_numeric::{BigInt, BigRational};
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 /// Safety valve: when an intermediate Fourier–Motzkin system grows beyond
 /// this many constraints the operation falls back to a sound but less precise
@@ -55,12 +62,11 @@ impl Polyhedron {
         Polyhedron { atoms: Vec::new() }
     }
 
-    /// A polyhedron from a list of constraint atoms.
+    /// A polyhedron from a list of constraint atoms, each stored as
+    /// [`Polyhedron::add_atom`] stores it, in order.
     pub fn from_atoms(atoms: Vec<Atom>) -> Polyhedron {
         let mut p = Polyhedron::universe();
-        for a in atoms {
-            p.add_atom(a);
-        }
+        p.extend_atoms(atoms);
         p
     }
 
@@ -92,6 +98,37 @@ impl Polyhedron {
         }
     }
 
+    /// [`Polyhedron::add_atom`] for every atom, in order.  The duplicate
+    /// check goes through a hash index of the stored atoms instead of
+    /// `add_atom`'s scan, so a join's several hundred output atoms are not
+    /// compared pairwise.
+    fn extend_atoms(&mut self, atoms: Vec<Atom>) {
+        let hash = |a: &Atom| BuildHasherDefault::<DefaultHasher>::default().hash_one(a);
+        let mut first: HashMap<u64, usize> = HashMap::with_capacity(self.atoms.len() + atoms.len());
+        for (i, a) in self.atoms.iter().enumerate() {
+            first.entry(hash(a)).or_insert(i);
+        }
+        for atom in atoms {
+            if atom.trivial_truth() == Some(true) {
+                continue;
+            }
+            let atom = atom.canonical();
+            match first.entry(hash(&atom)) {
+                Entry::Vacant(v) => {
+                    v.insert(self.atoms.len());
+                    self.atoms.push(atom);
+                }
+                // The same atom, or (rarely) a hash collision, which the
+                // scan settles.
+                Entry::Occupied(o) => {
+                    if self.atoms[*o.get()] != atom && !self.atoms.contains(&atom) {
+                        self.atoms.push(atom);
+                    }
+                }
+            }
+        }
+    }
+
     /// The constraint atoms.
     pub fn atoms(&self) -> &[Atom] {
         &self.atoms
@@ -119,9 +156,7 @@ impl Polyhedron {
     /// Conjunction of two polyhedra.
     pub fn conjoin(&self, other: &Polyhedron) -> Polyhedron {
         let mut out = self.clone();
-        for a in &other.atoms {
-            out.add_atom(a.clone());
-        }
+        out.extend_atoms(other.atoms.clone());
         out
     }
 
@@ -173,86 +208,11 @@ impl Polyhedron {
         other.atoms.iter().all(|a| self.implies_atom(a))
     }
 
-    /// Whether every point of the polyhedron satisfies *all* of the atoms —
-    /// a batched `goals.iter().all(|a| self.implies_atom(a))`: the
-    /// polyhedron is linearized once and the dimensions that no goal
-    /// mentions are eliminated by a single shared Fourier–Motzkin pass,
-    /// after which each goal is checked against the much smaller residual
-    /// system (one FM run per atom over the full system was the dominant
-    /// cost of assertion checking on conjunction-heavy assertions).
-    ///
-    /// In the exact (budget-free) case the batched check decides the same
-    /// linear relaxation as the per-atom checks.  When an elimination falls
-    /// back to the `FM_CONSTRAINT_BUDGET` over-approximation, the shared
-    /// pass may drop constraints the per-atom order would have kept, so any
-    /// goal the residual system cannot prove is re-checked individually
-    /// before being reported unprovable — the batched result is therefore
-    /// never less precise than the per-atom one.
+    /// Whether every point of the polyhedron satisfies *all* of the atoms:
+    /// one [`Polyhedron::implies_atom`] check per goal, each decided
+    /// exactly and answered from the memo when it repeats.
     pub fn implies_all(&self, goals: &[Atom]) -> bool {
-        let mut pending: Vec<&Atom> = Vec::new();
-        for g in goals {
-            match g.trivial_truth() {
-                Some(true) => continue,
-                // A ground-false goal is implied only by an empty polyhedron.
-                Some(false) => {
-                    if !self.is_empty_set() {
-                        return false;
-                    }
-                }
-                None => pending.push(g),
-            }
-        }
-        if pending.is_empty() {
-            return true;
-        }
-        // A dimension table covering the polyhedron and every goal, so both
-        // sides agree on the symbol of each non-linear monomial.
-        let table = Linearized::dim_table(self.atoms.iter().chain(pending.iter().copied()));
-        let Some(sys) = Linearized::new_with_dims(&self.atoms, table.clone()) else {
-            return true; // unsatisfiable implies everything
-        };
-        // Linear-space symbols (base symbols and dimension symbols) the goals
-        // mention; everything else is projected away once, up front.
-        let mut goal_syms: BTreeSet<Symbol> = BTreeSet::new();
-        for g in &pending {
-            for (m, _) in g.poly.terms() {
-                if m.is_one() {
-                    continue;
-                }
-                if m.degree() == 1 {
-                    let (s, _) = m.powers().next().expect("degree-1 monomial has a symbol");
-                    goal_syms.insert(*s);
-                } else {
-                    goal_syms.insert(table[m]);
-                }
-            }
-        }
-        let mut reduced = sys;
-        let drop_dims: Vec<Symbol> = reduced
-            .dims()
-            .into_iter()
-            .filter(|d| !goal_syms.contains(d))
-            .collect();
-        reduced.project(&drop_dims, None);
-        if reduced.unsat {
-            return true;
-        }
-        for g in pending {
-            let implied = g.negate().iter().all(|neg| {
-                let Some(neg_sys) =
-                    Linearized::new_with_dims(std::slice::from_ref(neg), table.clone())
-                else {
-                    return true; // ¬g ground-false: g trivially holds
-                };
-                let mut constraints = reduced.constraints.clone();
-                constraints.extend(neg_sys.constraints.iter().cloned());
-                reduced.with_constraints(constraints, &neg_sys).is_unsat()
-            });
-            if !implied && !self.implies_atom(g) {
-                return false;
-            }
-        }
-        true
+        goals.iter().all(|g| self.implies_atom(g))
     }
 
     /// Projects onto the given symbols: the result mentions only symbols in
@@ -517,13 +477,50 @@ impl Polyhedron {
     }
 }
 
-/// Emptiness of a verbatim atom sequence by linearization and
-/// Fourier–Motzkin elimination — the unmemoized decision procedure.
+/// Emptiness of a verbatim atom sequence by linearization and the exact
+/// simplex — the unmemoized decision procedure.
 fn decide_empty(atoms: &[Atom]) -> bool {
-    match Linearized::new(atoms) {
+    match linearize_atoms(atoms, &Linearized::dim_table(atoms.iter())) {
         None => true,
-        Some(sys) => sys.is_unsat(),
+        Some(rows) => crate::simplex::is_unsat(&rows),
     }
+}
+
+/// The linear rows of `atoms` over the dimension table `dim_of`, trivially
+/// true atoms skipped; `None` if a trivially false one is present.
+fn linearize_atoms(
+    atoms: &[Atom],
+    dim_of: &BTreeMap<Monomial, Symbol>,
+) -> Option<Vec<(LinearExpr, AtomKind)>> {
+    let mut rows = Vec::with_capacity(atoms.len());
+    for a in atoms {
+        match a.trivial_truth() {
+            Some(true) => continue,
+            Some(false) => return None,
+            None => rows.push((linearize_poly(&a.poly, dim_of), a.kind)),
+        }
+    }
+    Some(rows)
+}
+
+/// The linear view of `p`: each non-linear monomial becomes its dimension
+/// symbol from `dim_of`.
+fn linearize_poly(p: &Polynomial, dim_of: &BTreeMap<Monomial, Symbol>) -> LinearExpr {
+    let mut out = LinearExpr::constant(BigRational::zero());
+    for (m, c) in p.terms() {
+        if m.is_one() {
+            out.add_constant(c);
+        } else if m.degree() == 1 {
+            let (s, _) = m.powers().next().expect("degree-1 monomial has a symbol");
+            out.add_coefficient(*s, c.clone());
+        } else {
+            let dim = *dim_of
+                .get(m)
+                .expect("dimension table covers every non-linear monomial");
+            out.add_coefficient(dim, c.clone());
+        }
+    }
+    out
 }
 
 impl fmt::Display for Polyhedron {
@@ -567,14 +564,14 @@ struct Linearized {
     unsat: bool,
 }
 
-/// Reusable buffers for [`Linearized::eliminate_dim`].
+/// Reusable buffers for [`Linearized::naive_eliminate_dim`].
 ///
-/// One scratch lives for a whole elimination pass (a `project`, `is_unsat`,
-/// or join loop), so the pos/neg partition and the output row list keep
-/// their allocations across dimensions instead of being rebuilt per
-/// dimension.  The third tuple field is the (positive) coefficient the
-/// combination step multiplies the opposite row by; the rows themselves are
-/// stored with the eliminated dimension already stripped.
+/// One scratch lives for a whole fixed-order elimination pass, so the
+/// pos/neg partition and the output row list keep their allocations across
+/// dimensions instead of being rebuilt per dimension.  The third tuple
+/// field is the (positive) coefficient the combination step multiplies the
+/// opposite row by; the rows themselves are stored with the eliminated
+/// dimension already stripped.
 #[derive(Default)]
 struct FmScratch {
     pos: Vec<(LinearExpr, AtomKind, BigRational)>,
@@ -754,8 +751,8 @@ fn oriented_const(row: &FmRow) -> BigRational {
 /// syntactic duplicates are dropped (hash-consing), parallel inequalities
 /// keep only the tighter constant (quasi-syntactic domination), an equation
 /// absorbs the parallel inequalities it implies, and contradictory parallel
-/// rows flip the store to `unsat` — the early exit that `implies_atom` and
-/// `implies_all` rely on.
+/// rows flip the store to `unsat` — the early exit of a projection pass, and
+/// the ground-contradiction check of [`Linearized::new`].
 ///
 /// Kill-or-replace decisions go through the `index` HashMap, but the map is
 /// never iterated: surviving rows are read back in insertion order, so every
@@ -1110,21 +1107,13 @@ impl Linearized {
     /// Builds the linearized view with a pre-assigned dimension table (used
     /// by joins, where both operands must share dimension symbols).
     fn new_with_dims(atoms: &[Atom], dim_of: BTreeMap<Monomial, Symbol>) -> Option<Linearized> {
+        let constraints = linearize_atoms(atoms, &dim_of)?;
         let mut sys = Linearized {
             mono_dims: dim_of.iter().map(|(m, d)| (*d, m.clone())).collect(),
             dim_of,
-            constraints: Vec::new(),
+            constraints,
             unsat: false,
         };
-        for a in atoms {
-            match a.trivial_truth() {
-                Some(true) => continue,
-                Some(false) => return None,
-                None => {}
-            }
-            let expr = sys.linearize_poly(&a.poly);
-            sys.constraints.push((expr, a.kind));
-        }
         sys.normalize();
         if sys.unsat {
             None
@@ -1133,35 +1122,13 @@ impl Linearized {
         }
     }
 
-    fn linearize_poly(&mut self, p: &Polynomial) -> LinearExpr {
-        let mut out = LinearExpr::constant(BigRational::zero());
-        for (m, c) in p.terms() {
-            if m.is_one() {
-                out.add_constant(c);
-            } else if m.degree() == 1 {
-                let (s, _) = m.powers().next().expect("degree-1 monomial has a symbol");
-                out.add_coefficient(*s, c.clone());
-            } else {
-                let dim = *self
-                    .dim_of
-                    .get(m)
-                    .expect("dimension table covers every non-linear monomial");
-                out.add_coefficient(dim, c.clone());
-            }
-        }
-        out
-    }
-
     fn delinearize(&self, expr: &LinearExpr) -> Polynomial {
-        let mut p = Polynomial::constant(expr.constant_term().clone());
-        for (s, c) in expr.coefficients() {
-            let m = match self.mono_dims.get(s) {
-                Some(m) => m.clone(),
-                None => Monomial::var(*s),
-            };
-            p = &p + &Polynomial::term(c.clone(), m);
-        }
-        p
+        let constant = (expr.constant_term().clone(), Monomial::one());
+        let terms = expr.coefficients().map(|(s, c)| {
+            let m = self.mono_dims.get(s).cloned();
+            (c.clone(), m.unwrap_or_else(|| Monomial::var(*s)))
+        });
+        Polynomial::from_terms(std::iter::once(constant).chain(terms))
     }
 
     fn dims(&self) -> BTreeSet<Symbol> {
@@ -1387,8 +1354,7 @@ impl Linearized {
     /// minimizing Chvátal's `pos·neg − pos − neg` growth estimate over the
     /// current rows.  Rows flow through a [`RowStore`] — canonical form,
     /// hash-cons dedup, domination pruning, Imbert's acceleration — and the
-    /// pass stops as soon as a contradiction surfaces (`self.unsat`), which
-    /// is what lets `implies_atom`/`implies_all` return early.
+    /// pass stops as soon as a contradiction surfaces (`self.unsat`).
     ///
     /// With `abort_over` set, returns `false` as soon as an intermediate
     /// system exceeds that many rows (the exact-join fallback trigger);
@@ -1492,13 +1458,6 @@ impl Linearized {
         self
     }
 
-    #[allow(clippy::wrong_self_convention)] // consumes self: elimination destroys the system
-    fn is_unsat(mut self) -> bool {
-        let dims: Vec<Symbol> = self.dims().into_iter().collect();
-        self.project(&dims, None);
-        self.unsat
-    }
-
     /// Fixed-order projection — the pre-optimization oracle.
     fn naive_project(mut self, keep: impl Fn(&[Symbol]) -> bool) -> Linearized {
         let dims = self.dims();
@@ -1534,12 +1493,12 @@ impl Linearized {
         if self.unsat {
             return Polyhedron::contradiction();
         }
-        let mut atoms = Vec::new();
-        for (e, k) in &self.constraints {
-            let poly = self.delinearize(&e.normalize_gcd());
-            atoms.push(Atom { poly, kind: *k });
-        }
-        Polyhedron::from_atoms(atoms)
+        // `from_atoms` brings every row to its canonical scaling.
+        let atoms = self.constraints.iter().map(|(e, k)| Atom {
+            poly: self.delinearize(e),
+            kind: *k,
+        });
+        Polyhedron::from_atoms(atoms.collect())
     }
 }
 

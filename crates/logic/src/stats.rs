@@ -10,8 +10,9 @@
 //! publishes the same cells into the [`chora_telemetry::metrics`] registry
 //! as `chora_fm_*` series for the `/v1/metrics` scrape.  The satisfiability
 //! layer above it counts its emptiness queries, the ones the scoped memo
-//! (see [`crate::SatMemo`]) answered, and the budget fallbacks that make an
-//! elimination inexact; those publish as `chora_logic_*_total`.
+//! (see [`crate::SatMemo`]) answered, the simplex pivots that decided the
+//! rest, and the budget fallbacks that make an elimination inexact; those
+//! publish as `chora_logic_*_total`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
@@ -37,12 +38,16 @@ pub struct FmStats {
     /// `Polyhedron::implies_atom`), inside a memo scope or not.
     pub sat_queries: u64,
     /// Of those, the queries a [`crate::SatMemo`] answered without running
-    /// an elimination.
+    /// the simplex.
     pub sat_memo_hits: u64,
     /// Elimination steps that exceeded the constraint budget and dropped
     /// the rows mentioning the dimension (a sound over-approximation); zero
-    /// means every elimination was exact.
+    /// means every projection and join was exact.  Emptiness decisions
+    /// never eliminate, so they never count here.
     pub budget_fallbacks: u64,
+    /// Pivots the emptiness simplex performed; a query whose initial
+    /// assignment already satisfies every bound takes none.
+    pub simplex_pivots: u64,
 }
 
 pub(crate) static ROWS_GENERATED: AtomicU64 = AtomicU64::new(0);
@@ -54,6 +59,7 @@ pub(crate) static MAX_WIDTH: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SAT_QUERIES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SAT_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static BUDGET_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static SIMPLEX_PIVOTS: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the current counter values.
 pub fn snapshot() -> FmStats {
@@ -67,6 +73,7 @@ pub fn snapshot() -> FmStats {
         sat_queries: SAT_QUERIES.load(Ordering::Relaxed),
         sat_memo_hits: SAT_MEMO_HITS.load(Ordering::Relaxed),
         budget_fallbacks: BUDGET_FALLBACKS.load(Ordering::Relaxed),
+        simplex_pivots: SIMPLEX_PIVOTS.load(Ordering::Relaxed),
     }
 }
 
@@ -81,6 +88,7 @@ pub fn reset() {
     SAT_QUERIES.store(0, Ordering::Relaxed);
     SAT_MEMO_HITS.store(0, Ordering::Relaxed);
     BUDGET_FALLBACKS.store(0, Ordering::Relaxed);
+    SIMPLEX_PIVOTS.store(0, Ordering::Relaxed);
 }
 
 #[inline]
@@ -143,6 +151,11 @@ pub fn register_metrics() {
             "chora_logic_budget_fallbacks_total",
             "FM elimination steps that exceeded the constraint budget and dropped rows.",
             &BUDGET_FALLBACKS,
+        );
+        registry.register_counter_static(
+            "chora_logic_simplex_pivots_total",
+            "Pivots performed by the simplex that decides emptiness queries.",
+            &SIMPLEX_PIVOTS,
         );
     });
 }

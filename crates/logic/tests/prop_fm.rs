@@ -4,16 +4,19 @@
 //! hash-consing, domination pruning, Imbert's acceleration, early-unsat
 //! exit) is checked against the preserved fixed-order naive path
 //! (`project_onto_naive` / `is_empty_set_naive` / `implies_atom_naive`) on
-//! random small linear systems, where the constraint budget is never hit
-//! and the two engines must therefore decide exactly the same linear
+//! random small linear systems, where the constraint budget is rarely if
+//! ever hit and the engines must therefore decide exactly the same linear
 //! relaxation:
 //!
 //! * the two projections entail each other atom-for-atom (each engine's
 //!   output is verified with the *other* engine, so a shared bug cannot
 //!   vouch for itself),
-//! * satisfiability verdicts agree, including on contradictory systems,
-//! * single-atom and batched (`implies_all`, with its early-unsat exit)
-//!   entailment agree with the naive oracle.
+//! * satisfiability verdicts agree, including on contradictory systems —
+//!   both the simplex's (which decides `is_empty_set`; see
+//!   `prop_simplex.rs` for systems sized to stay under the budget) and the
+//!   pruned elimination's, read off a projection onto no symbols,
+//! * single-atom and batched (`implies_all`) entailment agree with the
+//!   naive oracle.
 //!
 //! A second differential check covers the scoped satisfiability memo:
 //! inside a [`SatMemo`] scope, emptiness, entailment and join answer
@@ -95,7 +98,12 @@ fn kohler_pruning_keeps_contradiction_lineage() {
         .to_vec(),
     );
     assert!(p.is_empty_set_naive(), "oracle: system is unsatisfiable");
-    assert!(p.is_empty_set(), "pruned engine must agree on {}", &p);
+    assert!(
+        p.project_onto(&BTreeSet::new()).is_empty_set_naive(),
+        "pruned engine must derive the contradiction on {}",
+        &p
+    );
+    assert!(p.is_empty_set(), "the simplex must agree on {}", &p);
 }
 
 proptest! {
@@ -103,7 +111,16 @@ proptest! {
 
     #[test]
     fn satisfiability_agrees_with_naive(p in polyhedron_strategy()) {
-        prop_assert_eq!(p.is_empty_set(), p.is_empty_set_naive(), "p = {}", &p);
+        let oracle = p.is_empty_set_naive();
+        prop_assert_eq!(p.is_empty_set(), oracle, "p = {}", &p);
+        // The pruned elimination decides by projecting every dimension
+        // away: a contradiction it derives must be the oracle's.
+        prop_assert_eq!(
+            p.project_onto(&BTreeSet::new()).is_empty_set_naive(),
+            oracle,
+            "pruned elimination disagrees on p = {}",
+            &p
+        );
     }
 
     #[test]
@@ -159,11 +176,10 @@ proptest! {
         p in polyhedron_strategy(),
         goals in prop::collection::vec(atom_strategy(), 1..5),
     ) {
-        // `implies_all` shares one elimination pass across the goals and
-        // exits early on a derived contradiction; the naive oracle runs one
-        // fixed-order check per goal.  On budget-free systems they must
-        // agree — in particular for unsatisfiable `p`, where the early-unsat
-        // exit answers for every goal at once.
+        // `implies_all` checks each goal with the simplex; the naive oracle
+        // runs one fixed-order elimination per goal.  On budget-free systems
+        // they must agree, unsatisfiable `p` (which implies every goal)
+        // included.
         let batched = p.implies_all(&goals);
         let oracle = goals.iter().all(|g| p.implies_atom_naive(g));
         prop_assert_eq!(batched, oracle, "p = {}", &p);

@@ -32,6 +32,7 @@ fn work_of(f: impl FnOnce()) -> (FmStats, NumericStats) {
         sat_queries: l1.sat_queries - l0.sat_queries,
         sat_memo_hits: l1.sat_memo_hits - l0.sat_memo_hits,
         budget_fallbacks: l1.budget_fallbacks - l0.budget_fallbacks,
+        simplex_pivots: l1.simplex_pivots - l0.simplex_pivots,
     };
     let numeric = NumericStats {
         small_ops: n1.small_ops - n0.small_ops,
